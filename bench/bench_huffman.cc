@@ -1,21 +1,22 @@
-// Huffman decode tier A/B bench: quantize every Figure-1 dataset with the
-// Lorenzo predictor (eb 1e-4 rel, the fig1 operating point), Huffman-encode
-// the quant codes, then decode each blob through every decoder tier and
-// report MB/s per tier plus the auto-vs-canonical speedup.
+// Huffman decode bench: quantize every Figure-1 dataset with the Lorenzo
+// predictor (eb 1e-4 rel, the fig1 operating point), Huffman-encode the
+// quant codes, then decode each blob with the production decoder (lookup
+// table + canonical slow path) and the canonical-walk reference, and
+// report MB/s for both plus the production-vs-reference speedup.
 //
-// This is the evidence bench for the table-cached decoders: the committed
+// This is the evidence bench for the table-driven decoder: the committed
 // bench_huffman_evidence.json is regenerated from this binary, and CI runs
-// it with FZMOD_BENCH_CHECK=1 so a regression that drops the cached tiers
-// back to canonical throughput fails the build.
+// it with FZMOD_BENCH_CHECK=1 so a regression that drops the decoder back
+// to canonical throughput fails the build.
 //
 // Knobs:
 //   FZMOD_BENCH_REPS=N         best-of repetitions (default 3 here)
 //   FZMOD_BENCH_JSON=path      append machine-readable lines
-//   FZMOD_BENCH_CHECK=1        exit nonzero unless (a) every tier decodes
-//                              every blob back to the exact code stream and
-//                              (b) aggregate auto-tier speedup over forced
-//                              canonical >= FZMOD_HUFF_MIN_SPEEDUP
-//                              (default 1.5)
+//   FZMOD_BENCH_CHECK=1        exit nonzero unless (a) both decoders
+//                              decode every blob back to the exact code
+//                              stream and (b) aggregate production
+//                              speedup over the reference >=
+//                              FZMOD_HUFF_MIN_SPEEDUP (default 1.5)
 //   FZMOD_HUFF_MIN_SPEEDUP=X   override the speedup floor
 #include <algorithm>
 #include <cmath>
@@ -28,13 +29,11 @@
 namespace fzmod {
 namespace {
 
-using encoders::huffman_tier;
-
 struct workload {
   std::string name;
   std::vector<u16> codes;
   std::vector<u8> blob;
-  f64 avg_bits = 0;  // payload bits per symbol — drives tier selection
+  f64 avg_bits = 0;  // payload bits per symbol
 };
 
 /// Quantize one field of `ds` and Huffman-encode the quant codes.
@@ -68,14 +67,16 @@ workload make_workload(const data::dataset_desc& ds) {
   return w;
 }
 
-/// Best-of-`reps` decode of `w` through `tier`; returns seconds, sets
+using decode_fn = void (*)(std::span<const u8>, std::span<u16>);
+
+/// Best-of-`reps` decode of `w` through `decode`; returns seconds, sets
 /// `ok` false if any decoded stream mismatches the original codes.
-f64 time_decode(const workload& w, huffman_tier tier, int reps, bool& ok) {
+f64 time_decode(const workload& w, decode_fn decode, int reps, bool& ok) {
   std::vector<u16> out(w.codes.size());
   f64 best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     stopwatch sw;
-    encoders::huffman_decode(w.blob, out, tier);
+    decode(w.blob, out);
     best = std::min(best, sw.seconds());
   }
   if (out != w.codes) ok = false;
@@ -90,86 +91,59 @@ int huffman_main() {
   std::vector<workload> work;
   for (const auto& ds : catalog) work.push_back(make_workload(ds));
 
-  constexpr huffman_tier tiers[] = {
-      huffman_tier::canonical, huffman_tier::single_cached,
-      huffman_tier::double_cached, huffman_tier::auto_select};
-
   bench::print_header(
-      "Huffman decode tiers — fig1 quant-code workload, eb=1e-4 rel");
-  std::printf("%-10s %8s %9s %10s %10s %10s %10s %9s\n", "dataset", "MB",
-              "avg bits", "canon MB/s", "single", "double", "auto",
-              "speedup");
-  bench::print_rule(84);
+      "Huffman decode — production vs canonical reference, fig1 quant "
+      "codes, eb=1e-4 rel");
+  std::printf("%-10s %8s %9s %14s %15s %9s\n", "dataset", "MB", "avg bits",
+              "reference MB/s", "production MB/s", "speedup");
+  bench::print_rule(70);
 
   bool roundtrip_ok = true;
-  f64 total_canon_s = 0, total_auto_s = 0;
+  f64 total_ref_s = 0, total_prod_s = 0;
   u64 total_bytes = 0;
-  // Chunk-tier mix of the auto runs only (the cumulative process counters
-  // also include the forced-tier runs, so diff around the auto timing and
-  // divide by reps).
-  u64 auto_canon = 0, auto_single = 0, auto_double = 0;
   for (const auto& w : work) {
     const u64 bytes = w.codes.size() * sizeof(u16);
-    f64 secs[4];
-    for (int t = 0; t < 4; ++t) {
-      const auto before = encoders::huffman_tier_totals();
-      secs[t] = time_decode(w, tiers[t], reps, roundtrip_ok);
-      if (tiers[t] == huffman_tier::auto_select) {
-        const auto after = encoders::huffman_tier_totals();
-        const auto ureps = static_cast<u64>(reps);
-        auto_canon += (after.canonical - before.canonical) / ureps;
-        auto_single += (after.single_cached - before.single_cached) / ureps;
-        auto_double += (after.double_cached - before.double_cached) / ureps;
-      }
-    }
-    total_canon_s += secs[0];
-    total_auto_s += secs[3];
+    const f64 ref_s = time_decode(w, &encoders::huffman_decode_reference,
+                                  reps, roundtrip_ok);
+    const f64 prod_s =
+        time_decode(w, &encoders::huffman_decode, reps, roundtrip_ok);
+    total_ref_s += ref_s;
+    total_prod_s += prod_s;
     total_bytes += bytes;
     const f64 mb = static_cast<f64>(bytes) / (1 << 20);
-    std::printf("%-10s %8.1f %9.2f %10.1f %10.1f %10.1f %10.1f %8.2fx\n",
-                w.name.c_str(), mb, w.avg_bits, mb / secs[0], mb / secs[1],
-                mb / secs[2], mb / secs[3], secs[0] / secs[3]);
+    std::printf("%-10s %8.1f %9.2f %14.1f %15.1f %8.2fx\n", w.name.c_str(),
+                mb, w.avg_bits, mb / ref_s, mb / prod_s, ref_s / prod_s);
     if (std::FILE* f = bench::bench_json_stream()) {
       std::fprintf(
           f,
           "{\"bench\":\"huffman\",\"label\":\"%s\",\"bytes\":%llu,"
-          "\"avg_bits\":%.4f,\"canonical_mbps\":%.2f,\"single_mbps\":%.2f,"
-          "\"double_mbps\":%.2f,\"auto_mbps\":%.2f,\"speedup\":%.4f}\n",
+          "\"avg_bits\":%.4f,\"reference_mbps\":%.2f,"
+          "\"production_mbps\":%.2f,\"speedup\":%.4f}\n",
           w.name.c_str(), static_cast<unsigned long long>(bytes), w.avg_bits,
-          mb / secs[0], mb / secs[1], mb / secs[2], mb / secs[3],
-          secs[0] / secs[3]);
+          mb / ref_s, mb / prod_s, ref_s / prod_s);
       std::fflush(f);
     }
   }
-  bench::print_rule(84);
+  bench::print_rule(70);
 
-  const f64 speedup = total_canon_s / total_auto_s;
-  std::printf("aggregate: %.1f MB decoded, auto %.2fx vs canonical; "
-              "auto chunk mix canonical %llu / single %llu / double %llu\n",
-              static_cast<f64>(total_bytes) / (1 << 20), speedup,
-              static_cast<unsigned long long>(auto_canon),
-              static_cast<unsigned long long>(auto_single),
-              static_cast<unsigned long long>(auto_double));
+  const f64 speedup = total_ref_s / total_prod_s;
+  std::printf("aggregate: %.1f MB decoded, production %.2fx vs reference\n",
+              static_cast<f64>(total_bytes) / (1 << 20), speedup);
   std::printf("round-trip: %s\n", roundtrip_ok ? "ok" : "MISMATCH");
 
   if (std::FILE* f = bench::bench_json_stream()) {
     std::fprintf(
         f,
         "{\"bench\":\"huffman\",\"label\":\"aggregate\",\"bytes\":%llu,"
-        "\"speedup_auto_vs_canonical\":%.4f,\"roundtrip_ok\":%s,"
-        "\"auto_chunks_canonical\":%llu,\"auto_chunks_single\":%llu,"
-        "\"auto_chunks_double\":%llu}\n",
+        "\"speedup_production_vs_reference\":%.4f,\"roundtrip_ok\":%s}\n",
         static_cast<unsigned long long>(total_bytes), speedup,
-        roundtrip_ok ? "true" : "false",
-        static_cast<unsigned long long>(auto_canon),
-        static_cast<unsigned long long>(auto_single),
-        static_cast<unsigned long long>(auto_double));
+        roundtrip_ok ? "true" : "false");
     std::fflush(f);
   }
 
   if (bench::env_int("FZMOD_BENCH_CHECK", 0)) {
     if (!roundtrip_ok) {
-      std::fprintf(stderr, "FZMOD_BENCH_CHECK: tier decode mismatch\n");
+      std::fprintf(stderr, "FZMOD_BENCH_CHECK: decode mismatch\n");
       return 1;
     }
     const f64 floor = std::atof([&] {
@@ -178,12 +152,12 @@ int huffman_main() {
     }());
     if (speedup < floor) {
       std::fprintf(stderr,
-                   "FZMOD_BENCH_CHECK: auto-tier speedup %.2fx below "
+                   "FZMOD_BENCH_CHECK: decoder speedup %.2fx below "
                    "floor %.2fx\n",
                    speedup, floor);
       return 1;
     }
-    std::printf("FZMOD_BENCH_CHECK: auto-tier speedup %.2fx >= %.2fx, "
+    std::printf("FZMOD_BENCH_CHECK: decoder speedup %.2fx >= %.2fx, "
                 "round-trip ok\n",
                 speedup, floor);
   }

@@ -51,21 +51,22 @@ void BM_HistogramStandard(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramStandard)->UseRealTime();
 
-// Vector kernel tier: 4-way sub-histogram banks (see docs/RUNTIME.md,
-// "Decoder tiers & kernel tiers"). Same bins, different inner loop.
-void BM_HistogramVector(benchmark::State& state) {
+// Single-bank reference body of the standard histogram (see
+// docs/RUNTIME.md, "Fast paths and their references"). Same bins, one
+// counter bank instead of four.
+void BM_HistogramReference(benchmark::State& state) {
   const auto codes = make_codes(1 << 20, 4.0);
   auto dev = to_device(codes);
   device::buffer<u32> bins(1024, device::space::device);
   for (auto _ : state) {
     device::stream s;
-    kernels::histogram_vector_async(dev, bins, s);
+    kernels::histogram_reference_async(dev, bins, s);
     s.sync();
   }
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(codes.size() * 2));
 }
-BENCHMARK(BM_HistogramVector)->UseRealTime();
+BENCHMARK(BM_HistogramReference)->UseRealTime();
 
 void BM_HistogramTopK(benchmark::State& state) {
   const auto codes = make_codes(1 << 20, 2.0);
@@ -113,24 +114,62 @@ void BM_BitshuffleFwd(benchmark::State& state) {
 }
 BENCHMARK(BM_BitshuffleFwd)->UseRealTime();
 
-void BM_LorenzoCompress3D(benchmark::State& state) {
-  const dims3 d{128, 128, 64};
+// Lorenzo compress, production body vs the per-element reference. A 1-D
+// field is one row, which the production kernel splits into block-sized
+// segments; the 2-D and 3-D shapes have rows shorter than one segment.
+using lorenzo_fn = void (*)(const device::buffer<f32>&, dims3, f64, int,
+                            predictors::quant_field&, device::stream&);
+
+void run_lorenzo(benchmark::State& state, dims3 d, lorenzo_fn compress) {
+  // Smooth along the linear index, so every shape quantizes to in-range
+  // codes with a sparse outlier tail.
   rng r(9);
   device::buffer<f32> dev(d.len(), device::space::device);
   for (std::size_t i = 0; i < d.len(); ++i) {
-    dev.data()[i] = static_cast<f32>(std::sin(0.05 * (i % 128)) * 50 +
-                                     0.1 * r.normal());
+    dev.data()[i] = static_cast<f32>(
+        std::sin(0.001 * static_cast<f64>(i)) * 50 + 0.1 * r.normal());
   }
+  predictors::quant_field field;
   for (auto _ : state) {
-    predictors::quant_field field;
     device::stream s;
-    predictors::lorenzo_compress_async(dev, d, 2e-3, 512, field, s);
+    compress(dev, d, 2e-3, 512, field, s);
     s.sync();
   }
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(d.len() * 4));
 }
-BENCHMARK(BM_LorenzoCompress3D)->UseRealTime();
+
+void BM_LorenzoCompress(benchmark::State& state, dims3 d) {
+  run_lorenzo(state, d, &predictors::lorenzo_compress_async<f32>);
+}
+
+void BM_LorenzoCompressReference(benchmark::State& state, dims3 d) {
+  run_lorenzo(state, d, &predictors::lorenzo_compress_reference_async<f32>);
+}
+
+BENCHMARK_CAPTURE(BM_LorenzoCompress, 1d_256k, dims3{1u << 18})
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LorenzoCompressReference, 1d_256k, dims3{1u << 18})
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LorenzoCompress, 1d_4m, dims3{1u << 22})
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LorenzoCompressReference, 1d_4m, dims3{1u << 22})
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LorenzoCompress, 2d_2048x2048, dims3{2048, 2048})
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LorenzoCompressReference, 2d_2048x2048,
+                  dims3{2048, 2048})
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LorenzoCompress, 3d_256x256x64, dims3{256, 256, 64})
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LorenzoCompressReference, 3d_256x256x64,
+                  dims3{256, 256, 64})
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LorenzoCompress, 3d_64x64x12, dims3{64, 64, 12})
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LorenzoCompressReference, 3d_64x64x12,
+                  dims3{64, 64, 12})
+    ->UseRealTime();
 
 void BM_HuffmanEncode(benchmark::State& state) {
   const auto codes = make_codes(1 << 20, 4.0);
@@ -160,32 +199,21 @@ void BM_HuffmanDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_HuffmanDecode)->UseRealTime();
 
-// Forced decoder tiers on the same blob: canonical is the seed baseline,
-// single/double are the table-cached paths (a tier the codebook cannot
-// support falls back to canonical — see docs/RUNTIME.md).
-void BM_HuffmanDecodeTier(benchmark::State& state,
-                          encoders::huffman_tier tier) {
+// Canonical-walk reference decoder on the same blob as BM_HuffmanDecode.
+void BM_HuffmanDecodeReference(benchmark::State& state) {
   const auto codes = make_codes(1 << 20, 4.0);
   std::vector<u32> hist(1024, 0);
   for (const u16 c : codes) hist[c]++;
   const auto blob = encoders::huffman_encode(codes, hist);
   std::vector<u16> out(codes.size());
   for (auto _ : state) {
-    encoders::huffman_decode(blob, out, tier);
+    encoders::huffman_decode_reference(blob, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(codes.size() * 2));
 }
-BENCHMARK_CAPTURE(BM_HuffmanDecodeTier, canonical,
-                  fzmod::encoders::huffman_tier::canonical)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_HuffmanDecodeTier, single,
-                  fzmod::encoders::huffman_tier::single_cached)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_HuffmanDecodeTier, double,
-                  fzmod::encoders::huffman_tier::double_cached)
-    ->UseRealTime();
+BENCHMARK(BM_HuffmanDecodeReference)->UseRealTime();
 
 void BM_FixedLengthEncode(benchmark::State& state) {
   const auto codes = make_codes(1 << 20, 4.0);

@@ -29,8 +29,7 @@ class poly2_predictor final : public core::predictor_module<f32> {
   [[nodiscard]] std::string_view name() const override { return "poly2"; }
 
   void compress(const device::buffer<f32>& data, dims3 dims, f64 ebx2,
-                int radius, const core::pipeline_config&,
-                predictors::quant_field& out,
+                int radius, predictors::quant_field& out,
                 predictors::interp_anchors& anchors,
                 device::stream& s) override {
     anchors.lattice.clear();

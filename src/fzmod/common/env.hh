@@ -2,11 +2,10 @@
 //
 // Every numeric FZMOD_* variable and CLI number goes through parse_u64:
 // base-10, whole-string, no sign, no trailing garbage. A malformed value
-// throws status::invalid_argument naming the variable/flag, matching the
-// FZMOD_HUFF_TIER precedent (encoders/huffman.cc) — a typo'd knob must
-// fail loudly, not silently fall back to a default the user did not ask
-// for. env_u64 reads getenv() on every call so tests can setenv/unsetenv
-// around it.
+// throws status::invalid_argument naming the variable/flag — a typo'd
+// knob must fail loudly, not silently fall back to a default the user did
+// not ask for. env_u64 reads getenv() on every call so tests can
+// setenv/unsetenv around it.
 #pragma once
 
 #include <charconv>

@@ -124,14 +124,11 @@ class lorenzo_module final : public predictor_module<T> {
     return predictor_lorenzo;
   }
   void compress(const device::buffer<T>& data, dims3 dims, f64 ebx2,
-                int radius, const pipeline_config& cfg,
-                predictors::quant_field& out,
+                int radius, predictors::quant_field& out,
                 predictors::interp_anchors& anchors,
                 device::stream& s) override {
     anchors.lattice.clear();
-    predictors::lorenzo_compress_async(
-        data, dims, ebx2, radius, out, s,
-        device::effective_kernel_tier(cfg.kernel_tier));
+    predictors::lorenzo_compress_async(data, dims, ebx2, radius, out, s);
   }
   void decompress(const predictors::quant_field& field,
                   const predictors::interp_anchors&, device::buffer<T>& out,
@@ -147,8 +144,7 @@ class spline_module final : public predictor_module<T> {
     return predictor_spline;
   }
   void compress(const device::buffer<T>& data, dims3 dims, f64 ebx2,
-                int radius, const pipeline_config&,
-                predictors::quant_field& out,
+                int radius, predictors::quant_field& out,
                 predictors::interp_anchors& anchors,
                 device::stream& s) override {
     predictors::interp_compress_async(data, dims, ebx2, radius, out, anchors,
@@ -171,8 +167,7 @@ class delta_module final : public predictor_module<T> {
     return predictor_delta;
   }
   void compress(const device::buffer<T>& data, dims3 dims, f64 ebx2,
-                int radius, const pipeline_config&,
-                predictors::quant_field& out,
+                int radius, predictors::quant_field& out,
                 predictors::interp_anchors& anchors,
                 device::stream& s) override {
     anchors.lattice.clear();
@@ -202,9 +197,7 @@ class huffman_codec final : public codec_module {
                                        device::stream& s) override {
     const std::size_t nbins = 2 * static_cast<std::size_t>(radius);
     bins_.ensure(nbins, device::space::device);
-    kernels::histogram_dispatch_async(
-        cfg.histogram, codes, bins_, s,
-        device::effective_kernel_tier(cfg.kernel_tier));
+    kernels::histogram_dispatch_async(cfg.histogram, codes, bins_, s);
 
     host_codes_.ensure(codes.size(), device::space::host);
     host_bins_.ensure(nbins, device::space::host);
@@ -216,14 +209,9 @@ class huffman_codec final : public codec_module {
   }
 
   void decode(std::span<const u8> blob, int /*radius*/,
-              const pipeline_config& cfg, device::buffer<u16>& codes,
-              device::stream& s) override {
+              device::buffer<u16>& codes, device::stream& s) override {
     host_codes_.ensure(codes.size(), device::space::host);
-    if (cfg.huff_tier == encoders::huffman_tier::auto_select) {
-      encoders::huffman_decode(blob, host_codes_.span());
-    } else {
-      encoders::huffman_decode(blob, host_codes_.span(), cfg.huff_tier);
-    }
+    encoders::huffman_decode(blob, host_codes_.span());
     device::copy_async(codes, host_codes_, s);
     s.sync();
   }
@@ -265,8 +253,7 @@ class fzg_codec final : public codec_module {
   }
 
   void decode(std::span<const u8> blob, int radius,
-              const pipeline_config&, device::buffer<u16>& codes,
-              device::stream& s) override {
+              device::buffer<u16>& codes, device::stream& s) override {
     struct fzg_blob_header {
       u64 n_codes;
       u64 bitmap_words;
@@ -317,8 +304,7 @@ class flen_codec final : public codec_module {
   }
 
   void decode(std::span<const u8> blob, int radius,
-              const pipeline_config&, device::buffer<u16>& codes,
-              device::stream& s) override {
+              device::buffer<u16>& codes, device::stream& s) override {
     host_codes_.ensure(codes.size(), device::space::host);
     encoders::fixed_length_decode(blob, radius, host_codes_.span());
     device::copy_async(codes, host_codes_, s);
@@ -348,8 +334,7 @@ class szx_codec final : public codec_module {
   }
 
   void decode(std::span<const u8> blob, int radius,
-              const pipeline_config&, device::buffer<u16>& codes,
-              device::stream& s) override {
+              device::buffer<u16>& codes, device::stream& s) override {
     host_codes_.ensure(codes.size(), device::space::host);
     encoders::szx_block_decode(blob, radius, host_codes_.span());
     device::copy_async(codes, host_codes_, s);

@@ -7,14 +7,11 @@
 // footing with the built-ins (the extensibility contribution of §3.2).
 #pragma once
 
-#include <cstdlib>
 #include <string>
 #include <string_view>
 
 #include "fzmod/common/error.hh"
 #include "fzmod/common/types.hh"
-#include "fzmod/device/kernel_tier.hh"
-#include "fzmod/encoders/huffman.hh"
 #include "fzmod/kernels/histogram.hh"
 
 namespace fzmod::core {
@@ -39,17 +36,6 @@ struct pipeline_config {
   std::string codec = codec_huffman;
   kernels::histogram_kind histogram = kernels::histogram_kind::standard;
   bool secondary = false;  // run the LZ secondary encoder over the archive
-  /// Which implementation tier the hot device kernels run in (Lorenzo
-  /// prediction, histogram, outlier compaction). `auto_probe` defers to
-  /// the process-wide policy (FZMOD_KERNEL_TIER, else a one-time measured
-  /// probe); `portable`/`vector` pin this pipeline's launches. Purely an
-  /// execution-strategy knob: both tiers produce identical archives.
-  device::kernel_tier_policy kernel_tier =
-      device::kernel_tier_policy::auto_probe;
-  /// Which Huffman decoder tier this pipeline forces (`auto_select`
-  /// defers to FZMOD_HUFF_TIER, then to the per-chunk heuristic).
-  /// Execution strategy only: every tier decodes every blob identically.
-  encoders::huffman_tier huff_tier = encoders::huffman_tier::auto_select;
 
   /// FZMod-Default (paper §3.3): Lorenzo + standard histogram + CPU
   /// Huffman. Balances throughput, ratio and quality.
@@ -74,32 +60,17 @@ struct pipeline_config {
                                                               eb_mode::rel});
 };
 
-/// Apply the process-environment execution-strategy overrides to a
-/// config: FZMOD_KERNEL_TIER and FZMOD_HUFF_TIER. Every construction
-/// path (presets, the spec layer, direct configs passed through the CLI)
-/// routes here so the env knobs mean the same thing everywhere. Garbage
-/// values throw — same strictness as the rest of the FZMOD_* surface.
-[[nodiscard]] inline pipeline_config resolved(pipeline_config cfg) {
-  if (const char* v = std::getenv("FZMOD_KERNEL_TIER")) {
-    cfg.kernel_tier = device::parse_kernel_tier_policy(v);
-  }
-  if (const char* v = std::getenv("FZMOD_HUFF_TIER")) {
-    cfg.huff_tier = encoders::parse_huffman_tier(v);
-  }
-  return cfg;
-}
-
 inline pipeline_config pipeline_config::preset_default(eb_config eb) {
   pipeline_config c;
   c.eb = eb;
-  return resolved(std::move(c));
+  return c;
 }
 
 inline pipeline_config pipeline_config::preset_speed(eb_config eb) {
   pipeline_config c;
   c.eb = eb;
   c.codec = codec_fzg;
-  return resolved(std::move(c));
+  return c;
 }
 
 inline pipeline_config pipeline_config::preset_quality(eb_config eb) {
@@ -107,7 +78,7 @@ inline pipeline_config pipeline_config::preset_quality(eb_config eb) {
   c.eb = eb;
   c.predictor = predictor_spline;
   c.histogram = kernels::histogram_kind::topk;
-  return resolved(std::move(c));
+  return c;
 }
 
 inline pipeline_config pipeline_config::preset(std::string_view name,

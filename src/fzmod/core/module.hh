@@ -68,9 +68,6 @@ class preprocessor_module {
 
 /// Stage 2 — prediction + quantization. Produces the quant_field IR (and
 /// an anchor payload, which non-hierarchical predictors leave empty).
-/// compress() receives the pipeline_config (like codec_module::encode)
-/// so execution-strategy knobs — today the kernel_tier policy — reach
-/// the kernels without widening the signature per knob.
 template <class T>
 class predictor_module {
  public:
@@ -78,8 +75,7 @@ class predictor_module {
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   virtual void compress(const device::buffer<T>& data, dims3 dims, f64 ebx2,
-                        int radius, const pipeline_config& cfg,
-                        predictors::quant_field& out,
+                        int radius, predictors::quant_field& out,
                         predictors::interp_anchors& anchors,
                         device::stream& s) = 0;
 
@@ -103,13 +99,9 @@ class codec_module {
       const device::buffer<u16>& codes, int radius,
       const pipeline_config& cfg, device::stream& s) = 0;
 
-  /// Decode a blob into a presized device code buffer. Receives the
-  /// consumer's pipeline_config for execution-strategy knobs (today the
-  /// Huffman decoder tier) — like encode(), the config never changes the
-  /// decoded bytes, only how they are produced.
+  /// Decode a blob into a presized device code buffer.
   virtual void decode(std::span<const u8> blob, int radius,
-                      const pipeline_config& cfg, device::buffer<u16>& codes,
-                      device::stream& s) = 0;
+                      device::buffer<u16>& codes, device::stream& s) = 0;
 };
 
 }  // namespace fzmod::core

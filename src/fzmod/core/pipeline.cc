@@ -181,8 +181,7 @@ std::vector<u8> pipeline<T>::compress(const device::buffer<T>& data,
   sw.reset();
   predictors::quant_field& field = compress_field_;
   predictors::interp_anchors& anchors = compress_anchors_;
-  predictor_->compress(*src, dims, ebx2, cfg_.radius, cfg_, field, anchors,
-                       s);
+  predictor_->compress(*src, dims, ebx2, cfg_.radius, field, anchors, s);
   s.sync();
   compress_timings_.predict = sw.seconds();
   trace_stage("predict", compress_timings_.predict);
@@ -385,7 +384,7 @@ void pipeline<T>::decompress(std::span<const u8> archive,
   field.radius = hdr.radius;
   field.ebx2 = hdr.ebx2;
   field.codes.ensure(dims.len(), device::space::device);
-  codec->decode(sections.codec, hdr.radius, cfg_, field.codes, s);
+  codec->decode(sections.codec, hdr.radius, field.codes, s);
   decompress_timings_.encode = sw.seconds();
   trace_stage("encode", decompress_timings_.encode);
 

@@ -98,19 +98,24 @@ snapshot_reader::snapshot_reader(std::span<const u8> blob) : blob_(blob) {
   std::memcpy(&hdr, blob.data(), sizeof(hdr));
   FZMOD_REQUIRE(hdr.magic == snapshot_magic, status::corrupt_archive,
                 "snapshot: bad magic");
-  FZMOD_REQUIRE(blob.size() >= sizeof(hdr) + hdr.toc_bytes,
+  // Every header and TOC field is untrusted: bound each one by what
+  // the blob can hold, in forms that cannot wrap, before using it.
+  FZMOD_REQUIRE(hdr.toc_bytes <= blob.size() - sizeof(hdr),
                 status::corrupt_archive, "snapshot: truncated TOC");
+  FZMOD_REQUIRE(hdr.count <= hdr.toc_bytes / sizeof(toc_record),
+                status::corrupt_archive,
+                "snapshot: TOC count exceeds the TOC extent");
   const u8* p = blob.data() + sizeof(hdr);
   const u8* toc_end = p + hdr.toc_bytes;
   entries_.reserve(hdr.count);
   for (u32 k = 0; k < hdr.count; ++k) {
-    FZMOD_REQUIRE(p + sizeof(toc_record) <= toc_end,
+    FZMOD_REQUIRE(static_cast<std::size_t>(toc_end - p) >= sizeof(toc_record),
                   status::corrupt_archive, "snapshot: TOC overrun");
     toc_record rec;
     std::memcpy(&rec, p, sizeof(rec));
     p += sizeof(rec);
-    FZMOD_REQUIRE(p + rec.name_len <= toc_end, status::corrupt_archive,
-                  "snapshot: TOC name overrun");
+    FZMOD_REQUIRE(static_cast<std::size_t>(toc_end - p) >= rec.name_len,
+                  status::corrupt_archive, "snapshot: TOC name overrun");
     snapshot_entry e;
     e.name.assign(reinterpret_cast<const char*>(p), rec.name_len);
     p += rec.name_len;
@@ -118,7 +123,7 @@ snapshot_reader::snapshot_reader(std::span<const u8> blob) : blob_(blob) {
     e.type = static_cast<dtype>(rec.type);
     e.offset = rec.offset;
     e.bytes = rec.bytes;
-    FZMOD_REQUIRE(e.offset + e.bytes <= blob.size(),
+    FZMOD_REQUIRE(e.bytes <= blob.size() && e.offset <= blob.size() - e.bytes,
                   status::corrupt_archive,
                   "snapshot: archive extent out of range");
     entries_.push_back(std::move(e));

@@ -1,18 +1,13 @@
 #include "fzmod/encoders/huffman.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
-#include <optional>
 #include <queue>
-#include <string_view>
 
 #include "fzmod/common/bits.hh"
 #include "fzmod/common/error.hh"
 #include "fzmod/device/runtime.hh"
-#include "fzmod/trace/trace.hh"
 
 namespace fzmod::encoders {
 namespace {
@@ -199,33 +194,9 @@ struct decode_table {
   }
 };
 
-// ---- cached decoder tiers ----------------------------------------------
+// ---- production decoder table ------------------------------------------
 
-/// Single-cached tier: LUT wide enough for the longest code, so one
-/// lookup always resolves a full symbol. Entry = (sym << 8) | len; 0
-/// marks a window no code matches (incomplete books leave holes — a
-/// hostile bitstream landing there throws instead of desyncing).
-struct single_cached_table {
-  u32 bits = 1;
-  std::vector<u32> lut;
-
-  single_cached_table(std::span<const u8> lens, std::span<const u32> codes,
-                      u32 max_len) {
-    bits = std::max<u32>(max_len, 1);
-    lut.assign(std::size_t{1} << bits, 0);
-    for (std::size_t sym = 0; sym < lens.size(); ++sym) {
-      const u32 l = lens[sym];
-      if (l == 0) continue;
-      const u32 prefix = codes[sym] << (bits - l);
-      const u32 fills = u32{1} << (bits - l);
-      for (u32 f = 0; f < fills; ++f) {
-        lut[prefix | f] = (static_cast<u32>(sym) << 8) | l;
-      }
-    }
-  }
-};
-
-/// Double-cached tier: fixed 2^12 LUT whose entries resolve up to TWO
+/// Double-symbol table: fixed 2^12 LUT whose entries resolve up to TWO
 /// complete codes per lookup. Entry = (sym0 << 32) | (sym1 << 16) |
 /// (len0 << 8) | len_total; len_total == len0 means only one code fit
 /// the window; 0 means the first code is longer than the table and the
@@ -235,7 +206,10 @@ struct double_cached_table {
   static constexpr u32 bits = huffman_double_table_bits;
   std::vector<u64> lut;
 
-  double_cached_table(std::span<const u8> lens, std::span<const u32> codes) {
+  /// `lens` must already have passed decode_table's cap + Kraft checks.
+  explicit double_cached_table(std::span<const u8> lens) {
+    std::vector<u32> codes;
+    assign_codes(std::vector<u8>(lens.begin(), lens.end()), codes);
     lut.assign(std::size_t{1} << bits, 0);
     std::array<std::vector<u16>, bits + 1> by_len{};
     for (std::size_t sym = 0; sym < lens.size(); ++sym) {
@@ -274,7 +248,7 @@ struct double_cached_table {
 
 // ---- per-chunk decode loops ---------------------------------------------
 //
-// All three loops share the seed's safety posture: the cursor is checked
+// Both loops share the seed's safety posture: the cursor is checked
 // against the chunk's bit extent before every step, and the payload copy
 // is padded so reservoir reloads past the last real byte read zeros.
 
@@ -296,22 +270,6 @@ void decode_chunk_canonical(const decode_table& table, const u8* src,
     const auto [sym, len] = table.decode(window);
     out[i] = sym;
     bitpos += len;
-  }
-}
-
-void decode_chunk_single(const single_cached_table& t, const u8* src,
-                         u64 bit_limit, std::span<u16> out, u64 beg_sym,
-                         u64 end_sym) {
-  msb_bit_reservoir br(src);
-  for (u64 i = beg_sym; i < end_sym; ++i) {
-    FZMOD_REQUIRE(br.position() <= bit_limit, status::corrupt_archive,
-                  "huffman: chunk bitstream overrun");
-    br.ensure(t.bits);
-    const u32 e = t.lut[br.peek(t.bits)];
-    FZMOD_REQUIRE(e != 0, status::corrupt_archive,
-                  "huffman: undecodable window");
-    out[i] = static_cast<u16>(e >> 8);
-    br.consume(e & 0xffu);
   }
 }
 
@@ -394,14 +352,36 @@ parsed_blob parse_blob(std::span<const u8> blob) {
   return pb;
 }
 
-// ---- tier selection plumbing --------------------------------------------
+/// Run `decode_chunk(src, bit_limit, beg_sym, end_sym)` over every chunk
+/// of a parsed blob in parallel. The payload copy is padded so reservoir
+/// and window reads never run off the end (the per-symbol bit_limit check
+/// bounds how far the cursor gets).
+template <class DecodeChunk>
+void decode_chunks(const parsed_blob& pb, std::span<const u8> blob,
+                   const DecodeChunk& decode_chunk) {
+  const blob_header& hdr = pb.hdr;
+  std::vector<u8> payload(pb.offsets[hdr.nchunks] + 16, 0);
+  std::memcpy(payload.data(), blob.data() + pb.payload_off,
+              pb.offsets[hdr.nchunks]);
+  device::runtime::instance().pool().parallel_for(
+      hdr.nchunks, 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t c = lo; c < hi; ++c) {
+          const u64 beg_sym = c * hdr.chunk;
+          const u64 end_sym = std::min<u64>(hdr.count, beg_sym + hdr.chunk);
+          // A corrupt bitstream must not walk the cursor past this
+          // chunk's extent (the +16 padding then covers window reads).
+          const u64 bit_limit = (pb.offsets[c + 1] - pb.offsets[c]) * 8;
+          decode_chunk(payload.data() + pb.offsets[c], bit_limit, beg_sym,
+                       end_sym);
+        }
+      });
+}
 
-std::atomic<u64> g_tier_chunks[3]{};  // canonical, single_cached, double_cached
-
-huffman_tier env_default_tier() {
-  const char* v = std::getenv("FZMOD_HUFF_TIER");
-  if (!v || !*v) return huffman_tier::auto_select;
-  return parse_huffman_tier(v);
+parsed_blob parse_for_decode(std::span<const u8> blob, std::span<u16> out) {
+  parsed_blob pb = parse_blob(blob);
+  FZMOD_REQUIRE(out.size() >= pb.hdr.count, status::invalid_argument,
+                "huffman: output span too small");
+  return pb;
 }
 
 /// Encode one chunk MSB-first into `dst` (sized worst case); returns bits.
@@ -492,145 +472,26 @@ u64 huffman_decoded_count(std::span<const u8> blob) {
   return parse_blob(blob).hdr.count;
 }
 
-const char* to_string(huffman_tier t) {
-  switch (t) {
-    case huffman_tier::canonical: return "canonical";
-    case huffman_tier::single_cached: return "single";
-    case huffman_tier::double_cached: return "double";
-    case huffman_tier::auto_select: break;
-  }
-  return "auto";
-}
-
-huffman_tier parse_huffman_tier(std::string_view v) {
-  if (v == "auto" || v.empty()) return huffman_tier::auto_select;
-  if (v == "canonical") return huffman_tier::canonical;
-  if (v == "single") return huffman_tier::single_cached;
-  if (v == "double") return huffman_tier::double_cached;
-  throw error(status::invalid_argument,
-              "FZMOD_HUFF_TIER must be auto|canonical|single|double, got '" +
-                  std::string(v) + "'");
-}
-
-huffman_tier huffman_select_tier(u32 max_code_len, f64 chunk_avg_bits) {
-  // Double pays off when one 12-bit window usually holds two complete
-  // codes, i.e. twice the chunk's achieved rate fits the table.
-  if (chunk_avg_bits > 0.0 &&
-      2.0 * chunk_avg_bits <= static_cast<f64>(huffman_double_table_bits)) {
-    return huffman_tier::double_cached;
-  }
-  if (max_code_len <= huffman_single_table_bits) {
-    return huffman_tier::single_cached;
-  }
-  return huffman_tier::canonical;
-}
-
-huffman_tier_counts huffman_tier_totals() {
-  return {g_tier_chunks[0].load(std::memory_order_relaxed),
-          g_tier_chunks[1].load(std::memory_order_relaxed),
-          g_tier_chunks[2].load(std::memory_order_relaxed)};
-}
-
-void huffman_decode(std::span<const u8> blob, std::span<u16> out,
-                    huffman_tier tier) {
-  const parsed_blob pb = parse_blob(blob);
-  const blob_header& hdr = pb.hdr;
-  FZMOD_REQUIRE(out.size() >= hdr.count, status::invalid_argument,
-                "huffman: output span too small");
-  // Canonical tables always build: they validate the lengths (cap +
-  // Kraft) and back the double tier's slow path.
-  const decode_table table(pb.lens);
-  if (hdr.count == 0) return;
-
-  u32 max_len = 0;
-  for (const u8 l : pb.lens) max_len = std::max<u32>(max_len, l);
-
-  // Choose a tier per chunk. The achieved bits/symbol falls straight out
-  // of the offsets table, so selection is per chunk without any format
-  // change — dense chunks and sparse chunks of one blob can take
-  // different paths.
-  std::vector<u8> chunk_tier(hdr.nchunks);
-  u64 tier_chunks[3] = {0, 0, 0};
-  for (u32 c = 0; c < hdr.nchunks; ++c) {
-    const u64 beg_sym = u64{c} * hdr.chunk;
-    const u64 nsyms = std::min<u64>(hdr.count, beg_sym + hdr.chunk) - beg_sym;
-    huffman_tier t = tier;
-    if (t == huffman_tier::auto_select) {
-      const f64 avg =
-          nsyms ? static_cast<f64>((pb.offsets[c + 1] - pb.offsets[c]) * 8) /
-                      static_cast<f64>(nsyms)
-                : 0.0;
-      t = huffman_select_tier(max_len, avg);
-    }
-    if (t == huffman_tier::single_cached &&
-        max_len > huffman_single_table_bits) {
-      t = huffman_tier::canonical;  // forced tier the book can't support
-    }
-    chunk_tier[c] = static_cast<u8>(t);
-    tier_chunks[static_cast<u8>(t)]++;
-  }
-
-  // Build only the cached tables some chunk actually picked.
-  std::optional<single_cached_table> single_tab;
-  std::optional<double_cached_table> double_tab;
-  if (tier_chunks[1] || tier_chunks[2]) {
-    std::vector<u32> codes;
-    std::vector<u8> lens_copy(pb.lens.begin(), pb.lens.end());
-    assign_codes(lens_copy, codes);
-    if (tier_chunks[1]) single_tab.emplace(pb.lens, codes, max_len);
-    if (tier_chunks[2]) double_tab.emplace(pb.lens, codes);
-  }
-
-  // Pad the payload copy so reservoir and window reads never run off the
-  // end (the per-symbol bit_limit check bounds how far the cursor gets).
-  std::vector<u8> payload(pb.offsets[hdr.nchunks] + 16, 0);
-  std::memcpy(payload.data(), blob.data() + pb.payload_off,
-              pb.offsets[hdr.nchunks]);
-
-  device::runtime::instance().pool().parallel_for(
-      hdr.nchunks, 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t c = lo; c < hi; ++c) {
-          const u64 beg_sym = c * hdr.chunk;
-          const u64 end_sym = std::min<u64>(hdr.count, beg_sym + hdr.chunk);
-          const u8* src = payload.data() + pb.offsets[c];
-          // A corrupt bitstream must not walk the cursor past this
-          // chunk's extent (the +16 padding then covers window reads).
-          const u64 bit_limit = (pb.offsets[c + 1] - pb.offsets[c]) * 8;
-          switch (static_cast<huffman_tier>(chunk_tier[c])) {
-            case huffman_tier::single_cached:
-              decode_chunk_single(*single_tab, src, bit_limit, out, beg_sym,
-                                  end_sym);
-              break;
-            case huffman_tier::double_cached:
-              decode_chunk_double(*double_tab, table, src, bit_limit, out,
-                                  beg_sym, end_sym);
-              break;
-            default:
-              decode_chunk_canonical(table, src, bit_limit, out, beg_sym,
-                                     end_sym);
-              break;
-          }
-        }
-      });
-
-  for (int t = 0; t < 3; ++t) {
-    if (tier_chunks[t]) {
-      g_tier_chunks[t].fetch_add(tier_chunks[t], std::memory_order_relaxed);
-    }
-  }
-  if (trace::enabled()) {
-    const auto totals = huffman_tier_totals();
-    trace::counter("huffman.chunks.canonical",
-                   static_cast<f64>(totals.canonical));
-    trace::counter("huffman.chunks.single",
-                   static_cast<f64>(totals.single_cached));
-    trace::counter("huffman.chunks.double",
-                   static_cast<f64>(totals.double_cached));
-  }
-}
-
 void huffman_decode(std::span<const u8> blob, std::span<u16> out) {
-  huffman_decode(blob, out, env_default_tier());
+  const parsed_blob pb = parse_for_decode(blob, out);
+  // The canonical tables validate the lengths (cap + Kraft) before the
+  // LUT is built from them, and back its slow path.
+  const decode_table walk(pb.lens);
+  const double_cached_table lut(pb.lens);
+  decode_chunks(pb, blob,
+                [&](const u8* src, u64 bit_limit, u64 beg, u64 end) {
+                  decode_chunk_double(lut, walk, src, bit_limit, out, beg,
+                                      end);
+                });
+}
+
+void huffman_decode_reference(std::span<const u8> blob, std::span<u16> out) {
+  const parsed_blob pb = parse_for_decode(blob, out);
+  const decode_table walk(pb.lens);
+  decode_chunks(pb, blob,
+                [&](const u8* src, u64 bit_limit, u64 beg, u64 end) {
+                  decode_chunk_canonical(walk, src, bit_limit, out, beg, end);
+                });
 }
 
 }  // namespace fzmod::encoders

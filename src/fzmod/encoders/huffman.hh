@@ -47,71 +47,23 @@ struct huffman_codebook {
 [[nodiscard]] std::vector<u8> huffman_encode(std::span<const u16> codes,
                                              std::span<const u32> hist);
 
-// ---- decoder tiers ------------------------------------------------------
-//
-// The decode fast path is a family of table-cached decoders over one
-// 64-bit bit-reservoir reader (common/bits.hh), the rapidgzip playbook:
-//
-//  - `canonical`      the seed per-symbol canonical walk (reference tier
-//                     and fallback for pathological codebooks);
-//  - `single_cached`  one LUT[peek(max_len)] lookup resolves any symbol
-//                     (requires max code length <= huffman_single_table_bits);
-//  - `double_cached`  one LUT[peek(12)] lookup resolves up to TWO short
-//                     codes at once; codes longer than the table fall back
-//                     to the canonical walk per miss.
-//
-// The variant is selected **per 8192-symbol chunk** by
-// `huffman_select_tier` from the codebook's maximum code length and the
-// chunk's achieved bits/symbol (chunks encode independently, so their bit
-// densities differ). `FZMOD_HUFF_TIER=auto|canonical|single|double`
-// forces a tier process-wide; the explicit-tier overload forces it per
-// call (benches and tests). The wire format is unchanged — every blob,
-// including pre-existing archives, decodes through any tier.
-
-enum class huffman_tier : u8 {
-  canonical = 0,
-  single_cached = 1,
-  double_cached = 2,
-  auto_select = 255,
-};
-
-[[nodiscard]] const char* to_string(huffman_tier t);
-
-/// Parse a tier name ("auto"|"canonical"|"single"|"double" — the
-/// FZMOD_HUFF_TIER values). Throws invalid_argument on anything else so
-/// typos fail loudly instead of silently decoding in the wrong tier.
-[[nodiscard]] huffman_tier parse_huffman_tier(std::string_view v);
-
-/// LUT width caps: `single` builds 2^max_len entries (so max_len must be
-/// small); `double` always builds 2^12 entries and uses the canonical
-/// walk for codes that don't fit.
-inline constexpr u32 huffman_single_table_bits = 14;
+/// Width of the decoder's lookup table: codes up to this long resolve
+/// in one probe, longer ones take the canonical walk.
 inline constexpr u32 huffman_double_table_bits = 12;
 
-/// Per-chunk tier choice from the codebook's maximum code length and the
-/// chunk's achieved average code length (chunk payload bits / symbols).
-/// Pure — unit-tested directly.
-[[nodiscard]] huffman_tier huffman_select_tier(u32 max_code_len,
-                                               f64 chunk_avg_bits);
-
-/// Cumulative count of chunks decoded by each tier (process-wide).
-/// Tests read deltas; while tracing each decode also publishes them as
-/// `huffman.chunks.<tier>` counter samples.
-struct huffman_tier_counts {
-  u64 canonical = 0;
-  u64 single_cached = 0;
-  u64 double_cached = 0;
-};
-[[nodiscard]] huffman_tier_counts huffman_tier_totals();
-
 /// Decode a blob produced by huffman_encode into `out` (presized to the
-/// original count, which callers know from the pipeline header). The
-/// 2-arg form selects the decoder tier per chunk (or honours
-/// FZMOD_HUFF_TIER); the 3-arg form forces one tier for every chunk —
-/// a forced tier the codebook cannot support falls back to `canonical`.
+/// original count, which callers know from the pipeline header). Chunks
+/// decode in parallel through a 64-bit bit reservoir (common/bits.hh)
+/// and a 2^huffman_double_table_bits-entry lookup table whose entries
+/// resolve up to TWO short codes per probe (the rapidgzip playbook); a
+/// code longer than the table takes the canonical walk. Every blob
+/// decodes this way — the wire format carries no decoder choice.
 void huffman_decode(std::span<const u8> blob, std::span<u16> out);
-void huffman_decode(std::span<const u8> blob, std::span<u16> out,
-                    huffman_tier tier);
+
+/// Reference decoder: the seed's per-symbol canonical walk. Same
+/// contract and validation as huffman_decode; tests and bench_huffman
+/// compare the production decoder against it.
+void huffman_decode_reference(std::span<const u8> blob, std::span<u16> out);
 
 /// Number of symbols stored in a blob (for callers sizing `out`).
 /// Validates the full blob structure — magic, alphabet size, chunk table

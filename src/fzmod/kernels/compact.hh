@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "fzmod/device/kernel_tier.hh"
 #include "fzmod/device/runtime.hh"
 
 namespace fzmod::kernels {
@@ -71,88 +70,6 @@ inline void compact_async(const device::buffer<u8>& flags,
       }
     });
   });
-}
-
-/// Vector-tier compaction: same count+scan+write plan, but both hot loops
-/// are branch-free. The count phase accumulates flag sums in 4
-/// independent lanes; the write phase first collects flagged indices into
-/// a block-local staging array with unconditional stores (`buf[cnt] = i;
-/// cnt += flag` — the staging array is sized block+1 so the dead store
-/// past the last hit is always in-bounds), then emits exactly `cnt`
-/// (index, value) pairs. Gathers on `values` happen only for actual
-/// outliers, which are sparse by construction.
-inline void compact_vector_async(const device::buffer<u8>& flags,
-                                 const device::buffer<i64>& values,
-                                 device::buffer<outlier>& out, u64* count,
-                                 device::stream& s) {
-  flags.assert_space(device::space::device);
-  values.assert_space(device::space::device);
-  out.assert_space(device::space::device);
-  const u8* f = flags.data();
-  const i64* v = values.data();
-  const std::size_t n = flags.size();
-  outlier* dst = out.data();
-  const std::size_t cap = out.size();
-  s.enqueue([f, v, n, dst, cap, count] {
-    auto& rt = device::runtime::instance();
-    rt.stats().kernels_launched += 1;
-    const std::size_t block = rt.default_block();
-    const std::size_t nblocks = n ? (n + block - 1) / block : 0;
-    std::vector<u64> block_counts(nblocks, 0);
-    rt.pool().parallel_for(nblocks, 1, [&](std::size_t blo, std::size_t bhi) {
-      for (std::size_t b = blo; b < bhi; ++b) {
-        const std::size_t end = std::min(n, (b + 1) * block);
-        std::size_t i = b * block;
-        u64 c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-        for (; i + 4 <= end; i += 4) {
-          c0 += (f[i + 0] != 0);
-          c1 += (f[i + 1] != 0);
-          c2 += (f[i + 2] != 0);
-          c3 += (f[i + 3] != 0);
-        }
-        for (; i < end; ++i) c0 += (f[i] != 0);
-        block_counts[b] = c0 + c1 + c2 + c3;
-      }
-    });
-    u64 acc = 0;
-    for (auto& c : block_counts) {
-      const u64 t = c;
-      c = acc;
-      acc += t;
-    }
-    FZMOD_REQUIRE(acc <= cap, status::internal,
-                  "outlier compaction overflow: capacity too small");
-    if (count) *count = acc;
-    rt.pool().parallel_for(nblocks, 1, [&](std::size_t blo, std::size_t bhi) {
-      std::vector<u64> buf(block + 1);
-      for (std::size_t b = blo; b < bhi; ++b) {
-        const std::size_t beg = b * block;
-        const std::size_t end = std::min(n, beg + block);
-        std::size_t cnt = 0;
-        for (std::size_t i = beg; i < end; ++i) {
-          buf[cnt] = i;
-          cnt += (f[i] != 0);
-        }
-        outlier* o = dst + block_counts[b];
-        for (std::size_t j = 0; j < cnt; ++j) {
-          o[j] = {buf[j], v[buf[j]]};
-        }
-      }
-    });
-  });
-}
-
-/// Tier dispatch for compaction (predictors call this).
-inline void compact_dispatch_async(
-    const device::buffer<u8>& flags, const device::buffer<i64>& values,
-    device::buffer<outlier>& out, u64* count, device::stream& s,
-    device::kernel_tier tier = device::active_kernel_tier()) {
-  device::note_kernel_tier_launch(tier);
-  if (tier == device::kernel_tier::vector) {
-    compact_vector_async(flags, values, out, count, s);
-  } else {
-    compact_async(flags, values, out, count, s);
-  }
 }
 
 /// Scatter compacted outliers back into a full-length i32 delta array

@@ -19,7 +19,6 @@
 #include <array>
 #include <vector>
 
-#include "fzmod/device/kernel_tier.hh"
 #include "fzmod/device/runtime.hh"
 
 namespace fzmod::kernels {
@@ -32,43 +31,14 @@ enum class histogram_kind : u8 { standard = 0, topk = 1 };
 
 /// Standard privatized histogram of u16 symbols into `nbins` counters.
 /// Symbols >= nbins are a caller bug (quantizer radius bounds them).
+/// Each block counts into 4 interleaved sub-histograms: a single scalar
+/// bank serializes on the store-to-load dependency whenever consecutive
+/// symbols hit the same bin — exactly the concentrated distributions good
+/// predictors produce. Four independent counter banks break that chain
+/// (the CPU analogue of per-warp sub-histograms in shared memory), at the
+/// cost of 4x the private footprint.
 inline void histogram_async(const device::buffer<u16>& codes,
                             device::buffer<u32>& bins, device::stream& s) {
-  codes.assert_space(device::space::device);
-  bins.assert_space(device::space::device);
-  const u16* in = codes.data();
-  const std::size_t n = codes.size();
-  u32* out = bins.data();
-  const std::size_t nbins = bins.size();
-  s.enqueue([in, n, out, nbins] {
-    auto& rt = device::runtime::instance();
-    rt.stats().kernels_launched += 1;
-    const std::size_t block = rt.default_block() * 4;
-    const std::size_t nblocks = n ? (n + block - 1) / block : 0;
-    std::fill(out, out + nbins, 0u);
-    std::mutex merge_mu;
-    rt.pool().parallel_for(nblocks, 1, [&](std::size_t blo, std::size_t bhi) {
-      std::vector<u32> local(nbins, 0);
-      for (std::size_t b = blo; b < bhi; ++b) {
-        const std::size_t end = std::min(n, (b + 1) * block);
-        for (std::size_t i = b * block; i < end; ++i) local[in[i]]++;
-      }
-      std::lock_guard lk(merge_mu);
-      for (std::size_t k = 0; k < nbins; ++k) out[k] += local[k];
-    });
-  });
-}
-
-/// Vector-tier standard histogram: identical privatized block structure,
-/// but each block counts into 4 interleaved sub-histograms. A scalar
-/// privatized loop serializes on the store-to-load dependency whenever
-/// consecutive symbols hit the same bin — exactly the concentrated
-/// distributions good predictors produce. Four independent counter banks
-/// break that chain (the CPU analogue of per-warp sub-histograms in
-/// shared memory), at the cost of 4x the private footprint.
-inline void histogram_vector_async(const device::buffer<u16>& codes,
-                                   device::buffer<u32>& bins,
-                                   device::stream& s) {
   codes.assert_space(device::space::device);
   bins.assert_space(device::space::device);
   const u16* in = codes.data();
@@ -103,6 +73,37 @@ inline void histogram_vector_async(const device::buffer<u16>& codes,
       for (std::size_t k = 0; k < nbins; ++k) {
         out[k] += b0[k] + b1[k] + b2[k] + b3[k];
       }
+    });
+  });
+}
+
+/// Reference body for `histogram_async`: the same privatized blocks with
+/// one scalar counter bank. Tests and benches compare the production
+/// kernel against it; no pipeline path runs it.
+inline void histogram_reference_async(const device::buffer<u16>& codes,
+                                      device::buffer<u32>& bins,
+                                      device::stream& s) {
+  codes.assert_space(device::space::device);
+  bins.assert_space(device::space::device);
+  const u16* in = codes.data();
+  const std::size_t n = codes.size();
+  u32* out = bins.data();
+  const std::size_t nbins = bins.size();
+  s.enqueue([in, n, out, nbins] {
+    auto& rt = device::runtime::instance();
+    rt.stats().kernels_launched += 1;
+    const std::size_t block = rt.default_block() * 4;
+    const std::size_t nblocks = n ? (n + block - 1) / block : 0;
+    std::fill(out, out + nbins, 0u);
+    std::mutex merge_mu;
+    rt.pool().parallel_for(nblocks, 1, [&](std::size_t blo, std::size_t bhi) {
+      std::vector<u32> local(nbins, 0);
+      for (std::size_t b = blo; b < bhi; ++b) {
+        const std::size_t end = std::min(n, (b + 1) * block);
+        for (std::size_t i = b * block; i < end; ++i) local[in[i]]++;
+      }
+      std::lock_guard lk(merge_mu);
+      for (std::size_t k = 0; k < nbins; ++k) out[k] += local[k];
     });
   });
 }
@@ -181,23 +182,14 @@ inline void histogram_topk_async(const device::buffer<u16>& codes,
   });
 }
 
-/// Dispatch by module kind and kernel tier (pipeline composition uses
-/// this). The tier defaults to the process policy; pipelines resolve
-/// their config override and pass it down. top-k has no vector variant
-/// (its hot path is already contention-free), so it always records a
-/// portable launch.
-inline void histogram_dispatch_async(
-    histogram_kind kind, const device::buffer<u16>& codes,
-    device::buffer<u32>& bins, device::stream& s,
-    device::kernel_tier tier = device::active_kernel_tier()) {
+/// Dispatch by module kind (pipeline composition uses this).
+inline void histogram_dispatch_async(histogram_kind kind,
+                                     const device::buffer<u16>& codes,
+                                     device::buffer<u32>& bins,
+                                     device::stream& s) {
   if (kind == histogram_kind::topk) {
-    device::note_kernel_tier_launch(device::kernel_tier::portable);
     histogram_topk_async(codes, bins, s);
-  } else if (tier == device::kernel_tier::vector) {
-    device::note_kernel_tier_launch(tier);
-    histogram_vector_async(codes, bins, s);
   } else {
-    device::note_kernel_tier_launch(tier);
     histogram_async(codes, bins, s);
   }
 }

@@ -1,6 +1,7 @@
 #include "fzmod/predictors/lorenzo.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -40,19 +41,20 @@ inline i64 lorenzo_pred(const i32* q, dims3 d, std::size_t x, std::size_t y,
   }
 }
 
-}  // namespace
+/// Elements per staging tile of the production kernel: each tile stages
+/// at most this many outliers on the stack, then appends them to the
+/// block's local list.
+constexpr std::size_t stage_slots = 1024;
 
+/// Validate the launch and size `out` for a field of `dims`.
 template <class T>
-void lorenzo_compress_async(const device::buffer<T>& data, dims3 dims,
-                            f64 ebx2, int radius, quant_field& out,
-                            device::stream& s, device::kernel_tier tier) {
+void prepare(const device::buffer<T>& data, dims3 dims, f64 ebx2, int radius,
+             quant_field& out) {
   data.assert_space(device::space::device);
-  device::note_kernel_tier_launch(tier);
   FZMOD_REQUIRE(data.size() == dims.len(), status::invalid_argument,
                 "lorenzo: data size does not match dims");
   FZMOD_REQUIRE(ebx2 > 0, status::invalid_argument,
                 "lorenzo: error bound must be positive");
-
   const std::size_t n = dims.len();
   out.dims = dims;
   out.radius = radius;
@@ -60,51 +62,203 @@ void lorenzo_compress_async(const device::buffer<T>& data, dims3 dims,
   out.codes.ensure(n, device::space::device);
   out.lattice_scratch.ensure(n, device::space::device);
   out.value_outliers.clear();
+}
+
+/// Code outliers gathered by concurrent blocks of the difference pass.
+struct collect_state {
+  std::mutex mu;
+  std::vector<kernels::outlier> all;
+};
+
+/// Finalize (stream-ordered host op): move collected outliers into the
+/// device-resident compact list, reusing the field's outlier buffer when
+/// its capacity suffices.
+void finalize_outliers(device::stream& s, std::shared_ptr<collect_state> coll,
+                       quant_field& out) {
+  device::host_task(s, [coll, &out] {
+    out.n_outliers = coll->all.size();
+    out.outliers.ensure(coll->all.size(), device::space::device);
+    std::copy(coll->all.begin(), coll->all.end(), out.outliers.data());
+    device::runtime::instance().stats().h2d_bytes +=
+        coll->all.size() * sizeof(kernels::outlier);
+  });
+}
+
+}  // namespace
+
+template <class T>
+void lorenzo_compress_async(const device::buffer<T>& data, dims3 dims,
+                            f64 ebx2, int radius, quant_field& out,
+                            device::stream& s) {
+  prepare(data, dims, ebx2, radius, out);
+  const std::size_t block = device::runtime::instance().default_block();
 
   // Pass 1 (kernel): pre-quantize to the integer lattice. Values whose
   // lattice coordinate would overflow the safe range are recorded as raw
   // value outliers and contribute q = 0 to their neighbours' predictions —
   // which stays correct because reconstruction overwrites those points.
-  // The lattice lives in `out` (reused across calls); `out` must outlive
-  // the stream, which the existing `&out` capture below already requires.
-  auto vo_mu = std::make_shared<std::mutex>();
-  if (tier == device::kernel_tier::vector) {
-    // Vector tier: the hot loop is branch-free — every element stores its
-    // index into a staging slot and only out-of-range values advance the
-    // cursor, so the common path is multiply/compare/select with no
-    // data-dependent branch; the rare exact-value gather runs after.
+  // The hot loop is branch-free: every element stores its index into a
+  // staging slot and only out-of-range values advance the cursor, so the
+  // common path is multiply/compare/select; the rare exact-value gather
+  // runs after each stage-sized tile. The lattice lives in `out` (reused
+  // across calls); `out` must outlive the stream, which the finalize
+  // capture also requires.
+  {
+    auto vo_mu = std::make_shared<std::mutex>();
     const T* in = data.data();
     i32* q = out.lattice_scratch.data();
     auto* vo = &out.value_outliers;
     const f64 r_ebx2 = 1.0 / ebx2;
     device::launch_blocks(
-        s, n, device::runtime::instance().default_block(),
+        s, dims.len(), block,
         [in, q, vo, vo_mu, r_ebx2](std::size_t, std::size_t lo,
                                    std::size_t hi) {
-          std::vector<u64> idx(hi - lo + 1);
-          std::size_t cnt = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            const f64 scaled = static_cast<f64>(in[i]) * r_ebx2;
-            const bool oob =
-                !(std::fabs(scaled) < static_cast<f64>(value_outlier_limit));
-            idx[cnt] = i;
-            cnt += oob;
-            q[i] = oob ? 0 : static_cast<i32>(std::llrint(scaled));
-          }
-          if (cnt) {
-            std::lock_guard lk(*vo_mu);
+          std::array<u64, stage_slots> idx;
+          std::vector<std::pair<u64, f64>> local;
+          for (std::size_t t0 = lo; t0 < hi; t0 += stage_slots) {
+            const std::size_t t1 = std::min(hi, t0 + stage_slots);
+            std::size_t cnt = 0;
+            for (std::size_t i = t0; i < t1; ++i) {
+              const f64 scaled = static_cast<f64>(in[i]) * r_ebx2;
+              const bool oob = !(std::fabs(scaled) <
+                                 static_cast<f64>(value_outlier_limit));
+              idx[cnt] = i;
+              cnt += oob;
+              q[i] = oob ? 0 : static_cast<i32>(std::llrint(scaled));
+            }
             for (std::size_t j = 0; j < cnt; ++j) {
-              vo->emplace_back(idx[j], static_cast<f64>(in[idx[j]]));
+              local.emplace_back(idx[j], static_cast<f64>(in[idx[j]]));
             }
           }
+          if (!local.empty()) {
+            std::lock_guard lk(*vo_mu);
+            vo->insert(vo->end(), local.begin(), local.end());
+          }
         });
-  } else {
+  }
+
+  // Pass 2 (kernel): integer Lorenzo difference + code emission, swept
+  // row by row. Rows longer than one block split into block-sized
+  // segments (a 1-D field is a single row); short rows pack several to a
+  // block. Interior rows run an unguarded stencil — only x == 0 is
+  // peeled, and only the segment that starts the row has it; first-row /
+  // first-plane rows (a vanishing fraction) take the guarded predictor.
+  // Code emission is branch-free with the same tiled outlier staging as
+  // pass 1.
+  auto coll = std::make_shared<collect_state>();
+  const i32* q = out.lattice_scratch.data();
+  u16* codes = out.codes.data();
+  const int rank = dims.rank();
+  const std::size_t seg = std::max<std::size_t>(1, std::min(dims.x, block));
+  const std::size_t nseg = (dims.x + seg - 1) / seg;
+  device::launch_blocks(
+      s, dims.y * dims.z * nseg, std::max<std::size_t>(1, block / seg),
+      [q, codes, dims, radius, rank, seg, nseg, coll](
+          std::size_t, std::size_t lo, std::size_t hi) {
+        std::vector<kernels::outlier> local;
+        std::array<kernels::outlier, stage_slots> stage;
+        std::size_t cnt = 0;
+        const auto emit = [&](std::size_t i, i64 delta) {
+          const i64 code = delta + radius;
+          const bool ok = code > 0 && code < 2 * radius;
+          codes[i] = ok ? static_cast<u16>(code) : u16{0};
+          stage[cnt] = {static_cast<u64>(i), delta};
+          cnt += !ok;
+        };
+        const std::size_t sy = dims.x, sz = dims.x * dims.y;
+        for (std::size_t k = lo; k < hi; ++k) {
+          const std::size_t r = k / nseg;
+          const std::size_t x0 = (k % nseg) * seg;
+          const std::size_t x1 = std::min(dims.x, x0 + seg);
+          const std::size_t y = r % dims.y;
+          const std::size_t z = r / dims.y;
+          const std::size_t base = r * dims.x;
+          const bool interior = (rank == 1) || (rank == 2 && y > 0) ||
+                                (rank == 3 && y > 0 && z > 0);
+          // Stage-sized tiles bound the staging array without a fill
+          // check in the inner loops.
+          for (std::size_t t0 = x0; t0 < x1; t0 += stage_slots) {
+            const std::size_t t1 = std::min(x1, t0 + stage_slots);
+            std::size_t x = t0;
+            cnt = 0;
+            if (!interior) {
+              for (; x < t1; ++x) {
+                const std::size_t i = base + x;
+                emit(i, static_cast<i64>(q[i]) -
+                            lorenzo_pred(q, dims, x, y, z, rank));
+              }
+            } else if (rank == 1) {
+              if (x == 0) {
+                emit(base, static_cast<i64>(q[base]));
+                x = 1;
+              }
+              for (; x < t1; ++x) {
+                const std::size_t i = base + x;
+                emit(i,
+                     static_cast<i64>(q[i]) - static_cast<i64>(q[i - 1]));
+              }
+            } else if (rank == 2) {
+              if (x == 0) {
+                emit(base, static_cast<i64>(q[base]) -
+                               static_cast<i64>(q[base - sy]));
+                x = 1;
+              }
+              for (; x < t1; ++x) {
+                const std::size_t i = base + x;
+                const i64 pred = static_cast<i64>(q[i - 1]) +
+                                 static_cast<i64>(q[i - sy]) -
+                                 static_cast<i64>(q[i - sy - 1]);
+                emit(i, static_cast<i64>(q[i]) - pred);
+              }
+            } else {
+              if (x == 0) {
+                emit(base, static_cast<i64>(q[base]) -
+                               (static_cast<i64>(q[base - sy]) +
+                                static_cast<i64>(q[base - sz]) -
+                                static_cast<i64>(q[base - sy - sz])));
+                x = 1;
+              }
+              for (; x < t1; ++x) {
+                const std::size_t i = base + x;
+                const i64 pred = static_cast<i64>(q[i - 1]) +
+                                 static_cast<i64>(q[i - sy]) +
+                                 static_cast<i64>(q[i - sz]) -
+                                 static_cast<i64>(q[i - sy - 1]) -
+                                 static_cast<i64>(q[i - sy - sz]) -
+                                 static_cast<i64>(q[i - sz - 1]) +
+                                 static_cast<i64>(q[i - sy - sz - 1]);
+                emit(i, static_cast<i64>(q[i]) - pred);
+              }
+            }
+            if (cnt) {
+              local.insert(local.end(), stage.begin(),
+                           stage.begin() + static_cast<std::ptrdiff_t>(cnt));
+            }
+          }
+        }
+        if (!local.empty()) {
+          std::lock_guard lk(coll->mu);
+          coll->all.insert(coll->all.end(), local.begin(), local.end());
+        }
+      });
+  finalize_outliers(s, std::move(coll), out);
+}
+
+template <class T>
+void lorenzo_compress_reference_async(const device::buffer<T>& data,
+                                      dims3 dims, f64 ebx2, int radius,
+                                      quant_field& out, device::stream& s) {
+  prepare(data, dims, ebx2, radius, out);
+  const std::size_t n = dims.len();
+  const std::size_t block = device::runtime::instance().default_block();
+  {
+    auto vo_mu = std::make_shared<std::mutex>();
     const T* in = data.data();
     i32* q = out.lattice_scratch.data();
     auto* vo = &out.value_outliers;
     const f64 r_ebx2 = 1.0 / ebx2;
     device::launch_blocks(
-        s, n, device::runtime::instance().default_block(),
+        s, n, block,
         [in, q, vo, vo_mu, r_ebx2](std::size_t, std::size_t lo,
                                    std::size_t hi) {
           std::vector<std::pair<u64, f64>> local;
@@ -125,145 +279,43 @@ void lorenzo_compress_async(const device::buffer<T>& data, dims3 dims,
         });
   }
 
-  // Pass 2 (kernel): integer Lorenzo difference + code emission + per-block
-  // outlier collection, merged into one compact device list.
-  struct collect_state {
-    std::mutex mu;
-    std::vector<kernels::outlier> all;
-  };
   auto coll = std::make_shared<collect_state>();
-  if (tier == device::kernel_tier::vector) {
-    // Vector tier: row-structured sweep. Interior rows get a specialized
-    // stencil with zero boundary checks in the inner loop (the x==0
-    // element is peeled; first-row/first-plane rows — a vanishing
-    // fraction — fall back to the generic guarded predictor), and code
-    // emission is branch-free with the same staged outlier collection as
-    // the compaction kernel.
-    const i32* q = out.lattice_scratch.data();
-    u16* codes = out.codes.data();
-    const int rank = dims.rank();
-    const std::size_t nrows = dims.y * dims.z;
-    const std::size_t rows_per_block = std::max<std::size_t>(
-        1, device::runtime::instance().default_block() /
-               std::max<std::size_t>(1, dims.x));
-    device::launch_blocks(
-        s, nrows, rows_per_block,
-        [q, codes, dims, radius, rank, coll](std::size_t, std::size_t rlo,
-                                             std::size_t rhi) {
-          std::vector<kernels::outlier> local;
-          std::vector<kernels::outlier> stage(dims.x + 1);
-          const std::size_t sy = dims.x, sz = dims.x * dims.y;
-          for (std::size_t r = rlo; r < rhi; ++r) {
-            const std::size_t y = r % dims.y;
-            const std::size_t z = r / dims.y;
-            const std::size_t base = r * dims.x;
-            std::size_t cnt = 0;
-            const auto emit = [&](std::size_t i, i64 delta) {
-              const i64 code = delta + radius;
-              const bool ok = code > 0 && code < 2 * radius;
-              codes[i] = ok ? static_cast<u16>(code) : u16{0};
-              stage[cnt] = {static_cast<u64>(i), delta};
-              cnt += !ok;
-            };
-            const bool interior = (rank == 1) || (rank == 2 && y > 0) ||
-                                  (rank == 3 && y > 0 && z > 0);
-            if (!interior) {
-              for (std::size_t x = 0; x < dims.x; ++x) {
-                const std::size_t i = base + x;
-                emit(i, static_cast<i64>(q[i]) -
-                            lorenzo_pred(q, dims, x, y, z, rank));
-              }
-            } else if (rank == 1) {
-              emit(base, static_cast<i64>(q[base]));
-              for (std::size_t x = 1; x < dims.x; ++x) {
-                const std::size_t i = base + x;
-                emit(i, static_cast<i64>(q[i]) - static_cast<i64>(q[i - 1]));
-              }
-            } else if (rank == 2) {
-              emit(base, static_cast<i64>(q[base]) -
-                             static_cast<i64>(q[base - sy]));
-              for (std::size_t x = 1; x < dims.x; ++x) {
-                const std::size_t i = base + x;
-                const i64 pred = static_cast<i64>(q[i - 1]) +
-                                 static_cast<i64>(q[i - sy]) -
-                                 static_cast<i64>(q[i - sy - 1]);
-                emit(i, static_cast<i64>(q[i]) - pred);
-              }
-            } else {
-              emit(base, static_cast<i64>(q[base]) -
-                             (static_cast<i64>(q[base - sy]) +
-                              static_cast<i64>(q[base - sz]) -
-                              static_cast<i64>(q[base - sy - sz])));
-              for (std::size_t x = 1; x < dims.x; ++x) {
-                const std::size_t i = base + x;
-                const i64 pred = static_cast<i64>(q[i - 1]) +
-                                 static_cast<i64>(q[i - sy]) +
-                                 static_cast<i64>(q[i - sz]) -
-                                 static_cast<i64>(q[i - sy - 1]) -
-                                 static_cast<i64>(q[i - sy - sz]) -
-                                 static_cast<i64>(q[i - sz - 1]) +
-                                 static_cast<i64>(q[i - sy - sz - 1]);
-                emit(i, static_cast<i64>(q[i]) - pred);
-              }
-            }
-            if (cnt) {
-              local.insert(local.end(), stage.begin(),
-                           stage.begin() + static_cast<std::ptrdiff_t>(cnt));
+  const i32* q = out.lattice_scratch.data();
+  u16* codes = out.codes.data();
+  const int rank = dims.rank();
+  device::launch_blocks(
+      s, n, block,
+      [q, codes, dims, radius, rank, coll](std::size_t, std::size_t lo,
+                                           std::size_t hi) {
+        std::vector<kernels::outlier> local;
+        // Convert the linear chunk back to coordinates incrementally.
+        std::size_t x = lo % dims.x;
+        std::size_t y = (lo / dims.x) % dims.y;
+        std::size_t z = lo / (dims.x * dims.y);
+        for (std::size_t i = lo; i < hi; ++i) {
+          const i64 delta =
+              static_cast<i64>(q[i]) - lorenzo_pred(q, dims, x, y, z, rank);
+          const i64 code = delta + radius;
+          if (code > 0 && code < 2 * radius) {
+            codes[i] = static_cast<u16>(code);
+          } else {
+            codes[i] = 0;
+            local.push_back({static_cast<u64>(i), delta});
+          }
+          if (++x == dims.x) {
+            x = 0;
+            if (++y == dims.y) {
+              y = 0;
+              ++z;
             }
           }
-          if (!local.empty()) {
-            std::lock_guard lk(coll->mu);
-            coll->all.insert(coll->all.end(), local.begin(), local.end());
-          }
-        });
-  } else {
-    const i32* q = out.lattice_scratch.data();
-    u16* codes = out.codes.data();
-    const int rank = dims.rank();
-    device::launch_blocks(
-        s, n, device::runtime::instance().default_block(),
-        [q, codes, dims, radius, rank, coll](std::size_t, std::size_t lo,
-                                             std::size_t hi) {
-          std::vector<kernels::outlier> local;
-          // Convert the linear chunk back to coordinates incrementally.
-          std::size_t x = lo % dims.x;
-          std::size_t y = (lo / dims.x) % dims.y;
-          std::size_t z = lo / (dims.x * dims.y);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const i64 delta =
-                static_cast<i64>(q[i]) - lorenzo_pred(q, dims, x, y, z, rank);
-            const i64 code = delta + radius;
-            if (code > 0 && code < 2 * radius) {
-              codes[i] = static_cast<u16>(code);
-            } else {
-              codes[i] = 0;
-              local.push_back({static_cast<u64>(i), delta});
-            }
-            if (++x == dims.x) {
-              x = 0;
-              if (++y == dims.y) {
-                y = 0;
-                ++z;
-              }
-            }
-          }
-          if (!local.empty()) {
-            std::lock_guard lk(coll->mu);
-            coll->all.insert(coll->all.end(), local.begin(), local.end());
-          }
-        });
-  }
-
-  // Finalize (stream-ordered host op): move collected outliers into the
-  // device-resident compact list, reusing the field's outlier buffer when
-  // its capacity suffices.
-  device::host_task(s, [coll, &out] {
-    out.n_outliers = coll->all.size();
-    out.outliers.ensure(coll->all.size(), device::space::device);
-    std::copy(coll->all.begin(), coll->all.end(), out.outliers.data());
-    device::runtime::instance().stats().h2d_bytes +=
-        coll->all.size() * sizeof(kernels::outlier);
-  });
+        }
+        if (!local.empty()) {
+          std::lock_guard lk(coll->mu);
+          coll->all.insert(coll->all.end(), local.begin(), local.end());
+        }
+      });
+  finalize_outliers(s, std::move(coll), out);
 }
 
 template <class T>
@@ -334,12 +386,16 @@ void lorenzo_decompress_async(const quant_field& field,
 
 template void lorenzo_compress_async<f32>(const device::buffer<f32>&, dims3,
                                           f64, int, quant_field&,
-                                          device::stream&,
-                                          device::kernel_tier);
+                                          device::stream&);
 template void lorenzo_compress_async<f64>(const device::buffer<f64>&, dims3,
                                           f64, int, quant_field&,
-                                          device::stream&,
-                                          device::kernel_tier);
+                                          device::stream&);
+template void lorenzo_compress_reference_async<f32>(
+    const device::buffer<f32>&, dims3, f64, int, quant_field&,
+    device::stream&);
+template void lorenzo_compress_reference_async<f64>(
+    const device::buffer<f64>&, dims3, f64, int, quant_field&,
+    device::stream&);
 template void lorenzo_decompress_async<f32>(const quant_field&,
                                             device::buffer<f32>&,
                                             device::stream&);

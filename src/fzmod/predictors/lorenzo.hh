@@ -12,7 +12,6 @@
 // everything after the pre-quantization is lossless in integer arithmetic.
 #pragma once
 
-#include "fzmod/device/kernel_tier.hh"
 #include "fzmod/device/runtime.hh"
 #include "fzmod/predictors/quant_field.hh"
 
@@ -20,14 +19,22 @@ namespace fzmod::predictors {
 
 /// Compress `data` (device) into a quant_field. `ebx2` is 2x the resolved
 /// absolute error bound. Asynchronous: complete after `s.sync()`.
-/// `tier` selects the kernel implementation (portable grid-stride loops
-/// vs. branch-free vectorized rows); both tiers produce identical codes
-/// and the same outlier set.
+/// The difference pass walks rows, split into segments of at most
+/// `default_block()` elements so long rows (1-D fields) still spread
+/// over every worker.
 template <class T>
-void lorenzo_compress_async(
-    const device::buffer<T>& data, dims3 dims, f64 ebx2, int radius,
-    quant_field& out, device::stream& s,
-    device::kernel_tier tier = device::active_kernel_tier());
+void lorenzo_compress_async(const device::buffer<T>& data, dims3 dims,
+                            f64 ebx2, int radius, quant_field& out,
+                            device::stream& s);
+
+/// Reference body for `lorenzo_compress_async`: per-element grid-stride
+/// loops with a guarded stencil. Produces identical codes and the same
+/// outlier sets; tests and benches compare the production kernel against
+/// it, no pipeline path runs it.
+template <class T>
+void lorenzo_compress_reference_async(const device::buffer<T>& data,
+                                      dims3 dims, f64 ebx2, int radius,
+                                      quant_field& out, device::stream& s);
 
 /// Reconstruct into `data` (device, presized to field.dims.len()).
 template <class T>

@@ -177,10 +177,8 @@ pipeline_spec parse_grammar(std::string_view text) {
         const std::size_t pos = st.param_pos[k];
         if (key == "radius") {
           s.radius = parse_radius(val, pos);
-        } else if (key == "tier") {
-          s.kernel_tier = device::parse_kernel_tier_policy(val);
         } else {
-          fail("predictor parameter must be radius|tier, got '" + key +
+          fail("predictor parameter must be radius, got '" + key +
                "' at position " + std::to_string(pos));
         }
       }
@@ -191,12 +189,10 @@ pipeline_spec parse_grammar(std::string_view text) {
       for (std::size_t k = 0; k < st.params.size(); ++k) {
         const auto& [key, val] = st.params[k];
         const std::size_t pos = st.param_pos[k];
-        if (key == "tier") {
-          s.huff_tier = encoders::parse_huffman_tier(val);
-        } else if (key == "hist") {
+        if (key == "hist") {
           s.histogram = parse_hist(val, pos);
         } else {
-          fail("codec parameter must be tier|hist, got '" + key +
+          fail("codec parameter must be hist, got '" + key +
                "' at position " + std::to_string(pos));
         }
       }
@@ -266,7 +262,7 @@ pipeline_spec parse_json(std::string_view text) {
       seen.push_back(key);
       c.expect(':');
       if (key == "preprocessor" || key == "predictor" || key == "codec" ||
-          key == "histogram" || key == "kernel_tier" || key == "huff_tier") {
+          key == "histogram") {
         const std::size_t vpos = c.i;
         const std::string v = c.string_lit();
         if (key == "preprocessor") {
@@ -275,12 +271,8 @@ pipeline_spec parse_json(std::string_view text) {
           s.predictor = v;
         } else if (key == "codec") {
           s.codec = v;
-        } else if (key == "histogram") {
-          s.histogram = parse_hist(v, vpos);
-        } else if (key == "kernel_tier") {
-          s.kernel_tier = device::parse_kernel_tier_policy(v);
         } else {
-          s.huff_tier = encoders::parse_huffman_tier(v);
+          s.histogram = parse_hist(v, vpos);
         }
       } else if (key == "radius") {
         c.skip_ws();
@@ -306,7 +298,7 @@ pipeline_spec parse_json(std::string_view text) {
         fail("unknown key \"" + key + "\" at position " +
              std::to_string(key_pos) +
              " in JSON spec (expected preprocessor|predictor|codec|radius|"
-             "histogram|secondary|kernel_tier|huff_tier)");
+             "histogram|secondary)");
       }
       if (c.peek() == ',') {
         ++c.i;
@@ -356,27 +348,11 @@ std::string to_string(const pipeline_spec& s) {
     out += '+';
   }
   out += s.predictor;
-  {
-    std::string params;
-    if (s.radius != 512) params += "radius=" + std::to_string(s.radius);
-    if (s.kernel_tier != device::kernel_tier_policy::auto_probe) {
-      if (!params.empty()) params += ',';
-      params += std::string("tier=") + device::to_string(s.kernel_tier);
-    }
-    if (!params.empty()) out += '(' + params + ')';
-  }
+  if (s.radius != 512) out += "(radius=" + std::to_string(s.radius) + ')';
   out += '+';
   out += s.codec;
-  {
-    std::string params;
-    if (s.huff_tier != encoders::huffman_tier::auto_select) {
-      params += std::string("tier=") + encoders::to_string(s.huff_tier);
-    }
-    if (s.histogram != kernels::histogram_kind::standard) {
-      if (!params.empty()) params += ',';
-      params += std::string("hist=") + hist_name(s.histogram);
-    }
-    if (!params.empty()) out += '(' + params + ')';
+  if (s.histogram != kernels::histogram_kind::standard) {
+    out += std::string("(hist=") + hist_name(s.histogram) + ')';
   }
   if (s.secondary) out += "+lz";
   return out;
@@ -388,9 +364,7 @@ std::string to_json(const pipeline_spec& s) {
     << s.predictor << "\",\"codec\":\"" << s.codec
     << "\",\"radius\":" << s.radius << ",\"histogram\":\""
     << hist_name(s.histogram) << "\",\"secondary\":"
-    << (s.secondary ? "true" : "false") << ",\"kernel_tier\":\""
-    << device::to_string(s.kernel_tier) << "\",\"huff_tier\":\""
-    << encoders::to_string(s.huff_tier) << "\"}";
+    << (s.secondary ? "true" : "false") << '}';
   return o.str();
 }
 
@@ -402,8 +376,6 @@ pipeline_spec from_config(const core::pipeline_config& cfg) {
   s.radius = cfg.radius;
   s.histogram = cfg.histogram;
   s.secondary = cfg.secondary;
-  s.kernel_tier = cfg.kernel_tier;
-  s.huff_tier = cfg.huff_tier;
   return s;
 }
 
@@ -416,9 +388,7 @@ core::pipeline_config to_config(const pipeline_spec& s, eb_config eb) {
   cfg.radius = s.radius;
   cfg.histogram = s.histogram;
   cfg.secondary = s.secondary;
-  cfg.kernel_tier = s.kernel_tier;
-  cfg.huff_tier = s.huff_tier;
-  return core::resolved(std::move(cfg));
+  return cfg;
 }
 
 template <class T>

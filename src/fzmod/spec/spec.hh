@@ -5,7 +5,7 @@
 // same information as a compact, validated, printable description with
 // two interchangeable surfaces:
 //
-//   - a one-line CLI grammar:  lorenzo+huffman(tier=double)+lz
+//   - a one-line CLI grammar:  lorenzo(radius=1024)+huffman(hist=topk)+lz
 //   - a JSON object:           {"predictor":"lorenzo","codec":"huffman",...}
 //
 // parse() auto-detects the surface (JSON starts with '{'), to_string()
@@ -16,7 +16,7 @@
 // position, and the candidate module names.
 //
 // The spec deliberately excludes the error bound: a spec describes the
-// *shape* of a pipeline (which modules, which execution knobs), while the
+// *shape* of a pipeline (which modules and their parameters), while the
 // bound is a per-invocation quantity — the same spec serves many bounds.
 //
 // `pipeline<T>::compress` embeds the canonical spec text in a trailing,
@@ -42,9 +42,6 @@ struct pipeline_spec {
   int radius = 512;
   kernels::histogram_kind histogram = kernels::histogram_kind::standard;
   bool secondary = false;
-  device::kernel_tier_policy kernel_tier =
-      device::kernel_tier_policy::auto_probe;
-  encoders::huffman_tier huff_tier = encoders::huffman_tier::auto_select;
 
   bool operator==(const pipeline_spec&) const = default;
 };
@@ -59,9 +56,7 @@ struct pipeline_spec {
 ///   name  := [A-Za-z0-9_.-]+           (module name, or 'lz' = secondary)
 ///
 /// Stage order is preprocessor? predictor codec, each at most once;
-/// params: predictor takes radius=N and tier=auto|portable|vector, the
-/// huffman codec takes tier=auto|canonical|single|double and
-/// hist=standard|topk.
+/// params: the predictor takes radius=N, the codec hist=standard|topk.
 [[nodiscard]] pipeline_spec parse(std::string_view text);
 
 /// Canonical one-line form: parse(to_string(s)) == s, and equal specs
@@ -75,10 +70,7 @@ struct pipeline_spec {
 /// Project a config onto its spec (drops the error bound).
 [[nodiscard]] pipeline_spec from_config(const core::pipeline_config& cfg);
 
-/// Materialize a config from a spec plus a per-invocation bound. Routes
-/// through core::resolved(), so FZMOD_KERNEL_TIER / FZMOD_HUFF_TIER
-/// apply to spec-built pipelines exactly as they do to the presets
-/// (the env override wins, as everywhere else).
+/// Materialize a config from a spec plus a per-invocation bound.
 [[nodiscard]] core::pipeline_config to_config(const pipeline_spec& s,
                                               eb_config eb);
 

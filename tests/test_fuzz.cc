@@ -461,16 +461,21 @@ TEST(FuzzLossless, SecondaryWrappedArchives) {
 }
 
 // ---------------------------------------------------------------------------
-// Decoder-tier fuzz: the cached Huffman fast paths parse the same
-// attacker-controlled blob as the canonical walk, so every tier gets the
-// same bit-flip and truncation treatment — a corrupt chunk must throw
-// (or decode to contained garbage), never read out of bounds or desync.
+// Decoder fuzz: the production Huffman decoder (lookup table + canonical
+// slow path) and the canonical reference parse the same attacker-
+// controlled blob, so both get the same bit-flip and truncation
+// treatment — a corrupt chunk must throw (or decode to contained
+// garbage), never read out of bounds or desync.
 
-class FuzzHuffmanTiers
-    : public ::testing::TestWithParam<encoders::huffman_tier> {};
+struct huffman_decoder {
+  const char* name;
+  void (*decode)(std::span<const u8>, std::span<u16>);
+};
+
+class FuzzHuffmanTiers : public ::testing::TestWithParam<huffman_decoder> {};
 
 TEST_P(FuzzHuffmanTiers, BitFlipSweepContained) {
-  // Short codes so the single and double LUT paths genuinely engage;
+  // Short codes so the lookup-table path genuinely engages;
   // several chunks so the offset table and chunk boundaries are in scope.
   rng r(910);
   std::vector<u16> codes(3 * encoders::huffman_chunk + 111);
@@ -490,7 +495,7 @@ TEST_P(FuzzHuffmanTiers, BitFlipSweepContained) {
     }
     std::vector<u16> out(codes.size());
     expect_contained([&] {
-      encoders::huffman_decode(mutated, out, GetParam());
+      GetParam().decode(mutated, out);
       return 0;
     });
   }
@@ -511,7 +516,7 @@ TEST_P(FuzzHuffmanTiers, TruncationSweepContained) {
                                     blob.begin() + static_cast<long>(keep));
     std::vector<u16> out(codes.size());
     expect_contained([&] {
-      encoders::huffman_decode(truncated, out, GetParam());
+      GetParam().decode(truncated, out);
       return 0;
     });
   }
@@ -537,19 +542,18 @@ TEST_P(FuzzHuffmanTiers, StompedLengthsContained) {
     }
     std::vector<u16> out(codes.size());
     expect_contained([&] {
-      encoders::huffman_decode(mutated, out, GetParam());
+      GetParam().decode(mutated, out);
       return 0;
     });
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllTiers, FuzzHuffmanTiers,
-    ::testing::Values(encoders::huffman_tier::canonical,
-                      encoders::huffman_tier::single_cached,
-                      encoders::huffman_tier::double_cached,
-                      encoders::huffman_tier::auto_select),
-    [](const auto& info) { return encoders::to_string(info.param); });
+    Decoders, FuzzHuffmanTiers,
+    ::testing::Values(
+        huffman_decoder{"production", &encoders::huffman_decode},
+        huffman_decoder{"reference", &encoders::huffman_decode_reference}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace fzmod

@@ -28,17 +28,11 @@ void roundtrip_expect(const std::vector<u16>& codes, std::size_t nbins) {
   for (std::size_t i = 0; i < codes.size(); ++i) {
     ASSERT_EQ(out[i], codes[i]) << "at " << i;
   }
-  // Every decoder tier must reproduce the same stream (a forced tier the
-  // codebook can't support falls back to canonical — still correct).
-  for (const huffman_tier t :
-       {huffman_tier::canonical, huffman_tier::single_cached,
-        huffman_tier::double_cached}) {
-    std::vector<u16> tier_out(codes.size());
-    huffman_decode(blob, tier_out, t);
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      ASSERT_EQ(tier_out[i], codes[i]) << "tier " << to_string(t) << " at "
-                                       << i;
-    }
+  // The canonical reference must reproduce the same stream.
+  std::vector<u16> ref_out(codes.size());
+  huffman_decode_reference(blob, ref_out);
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    ASSERT_EQ(ref_out[i], codes[i]) << "reference at " << i;
   }
 }
 
@@ -201,7 +195,7 @@ TEST(Huffman, LargeAlphabet32k) {
 
 TEST(Huffman, RoundTripAllEqualFrequencies) {
   // A complete, perfectly balanced book: every window decodes, so the
-  // cached tiers have zero invalid LUT holes.
+  // lookup table has zero invalid holes.
   std::vector<u16> codes(3 * huffman_chunk + 5);
   for (std::size_t i = 0; i < codes.size(); ++i) {
     codes[i] = static_cast<u16>(i % 256);
@@ -209,47 +203,9 @@ TEST(Huffman, RoundTripAllEqualFrequencies) {
   roundtrip_expect(codes, 256);
 }
 
-TEST(HuffmanTiers, SelectionHeuristic) {
-  // Short codes + dense chunks: two codes fit one 12-bit window.
-  EXPECT_EQ(huffman_select_tier(8, 4.0), huffman_tier::double_cached);
-  EXPECT_EQ(huffman_select_tier(24, 5.0), huffman_tier::double_cached);
-  EXPECT_EQ(huffman_select_tier(10, 6.0), huffman_tier::double_cached);
-  // Average too high for pairs, but the whole book fits a single LUT.
-  EXPECT_EQ(huffman_select_tier(10, 6.5), huffman_tier::single_cached);
-  EXPECT_EQ(huffman_select_tier(huffman_single_table_bits, 9.0),
-            huffman_tier::single_cached);
-  // Deep book and high average: only the canonical walk is safe.
-  EXPECT_EQ(huffman_select_tier(huffman_single_table_bits + 1, 10.0),
-            huffman_tier::canonical);
-  EXPECT_EQ(huffman_select_tier(24, 16.0), huffman_tier::canonical);
-}
-
-TEST(HuffmanTiers, PerChunkCountersAdvance) {
-  rng r(40);
-  std::vector<u16> codes(4 * huffman_chunk);
-  for (auto& c : codes) c = static_cast<u16>(r.next_below(16));
-  const auto hist = histogram_of(codes, 16);
-  const auto blob = huffman_encode(codes, hist);
-  std::vector<u16> out(codes.size());
-
-  const auto before = huffman_tier_totals();
-  huffman_decode(blob, out, huffman_tier::double_cached);
-  const auto after_double = huffman_tier_totals();
-  EXPECT_EQ(after_double.double_cached - before.double_cached, 4u);
-
-  huffman_decode(blob, out, huffman_tier::single_cached);
-  const auto after_single = huffman_tier_totals();
-  EXPECT_EQ(after_single.single_cached - after_double.single_cached, 4u);
-
-  huffman_decode(blob, out, huffman_tier::canonical);
-  const auto after_canon = huffman_tier_totals();
-  EXPECT_EQ(after_canon.canonical - after_single.canonical, 4u);
-}
-
-TEST(HuffmanTiers, ForcedSingleFallsBackOnDeepBook) {
-  // Fibonacci frequencies push codes past huffman_single_table_bits, so a
-  // forced single tier must take the canonical fallback, not build an
-  // infeasible LUT.
+TEST(Huffman, DeepBookTakesCanonicalSlowPath) {
+  // Fibonacci frequencies push codes past the decoder's lookup table, so
+  // the rare symbols decode through the canonical walk inside it.
   std::vector<u32> freq(48);
   u64 a = 1, b = 1;
   for (auto& f : freq) {
@@ -261,7 +217,7 @@ TEST(HuffmanTiers, ForcedSingleFallsBackOnDeepBook) {
   const auto book = huffman_codebook::build(freq);
   u32 max_len = 0;
   for (const u8 l : book.len) max_len = std::max<u32>(max_len, l);
-  ASSERT_GT(max_len, huffman_single_table_bits);
+  ASSERT_GT(max_len, huffman_double_table_bits);
 
   rng r(41);
   std::vector<u16> codes(huffman_chunk + 100);
@@ -270,14 +226,12 @@ TEST(HuffmanTiers, ForcedSingleFallsBackOnDeepBook) {
   // histogram of `codes`, so the blob really carries the deep book.
   const auto blob = huffman_encode(codes, freq);
   std::vector<u16> out(codes.size());
-
-  const auto before = huffman_tier_totals();
-  huffman_decode(blob, out, huffman_tier::single_cached);
-  const auto after = huffman_tier_totals();
-  EXPECT_EQ(after.single_cached, before.single_cached);
-  EXPECT_EQ(after.canonical - before.canonical, 2u);
+  std::vector<u16> ref_out(codes.size());
+  huffman_decode(blob, out);
+  huffman_decode_reference(blob, ref_out);
   for (std::size_t i = 0; i < codes.size(); ++i) {
     ASSERT_EQ(out[i], codes[i]) << "at " << i;
+    ASSERT_EQ(ref_out[i], codes[i]) << "reference at " << i;
   }
 }
 

@@ -270,59 +270,10 @@ TEST(Compact, OverflowingCapacityThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel tiers: the vector variants must be bit-identical to portable.
+// The production histogram (4 counter banks) must match its single-bank
+// reference bit for bit.
 
-TEST(KernelTier, PolicyParsing) {
-  using device::kernel_tier_policy;
-  EXPECT_EQ(device::parse_kernel_tier_policy("auto"),
-            kernel_tier_policy::auto_probe);
-  EXPECT_EQ(device::parse_kernel_tier_policy("portable"),
-            kernel_tier_policy::portable);
-  EXPECT_EQ(device::parse_kernel_tier_policy("vector"),
-            kernel_tier_policy::vector);
-  EXPECT_THROW((void)device::parse_kernel_tier_policy("simd"), error);
-}
-
-TEST(KernelTier, ResolveAndRuntimeSwitch) {
-  const auto saved = device::current_kernel_tier_policy();
-  device::set_kernel_tier_policy(device::kernel_tier_policy::vector);
-  EXPECT_EQ(device::active_kernel_tier(), device::kernel_tier::vector);
-  EXPECT_EQ(device::effective_kernel_tier(
-                device::kernel_tier_policy::auto_probe),
-            device::kernel_tier::vector);
-  device::set_kernel_tier_policy(device::kernel_tier_policy::portable);
-  EXPECT_EQ(device::active_kernel_tier(), device::kernel_tier::portable);
-  // A pipeline's explicit tier overrides the process policy.
-  EXPECT_EQ(device::effective_kernel_tier(device::kernel_tier_policy::vector),
-            device::kernel_tier::vector);
-  // auto resolves the probe to *some* concrete tier without throwing.
-  const auto probed =
-      device::resolve_kernel_tier(device::kernel_tier_policy::auto_probe);
-  EXPECT_TRUE(probed == device::kernel_tier::portable ||
-              probed == device::kernel_tier::vector);
-  device::set_kernel_tier_policy(saved);
-}
-
-TEST(KernelTier, LaunchTotalsAdvance) {
-  rng r(21);
-  std::vector<u16> codes(10000);
-  for (auto& c : codes) c = static_cast<u16>(r.next_below(128));
-  auto d = to_device(codes);
-  device::buffer<u32> bins(128, device::space::device);
-  device::stream s;
-  const auto before = device::kernel_tier_launch_totals();
-  histogram_dispatch_async(histogram_kind::standard, d, bins, s,
-                           device::kernel_tier::vector);
-  s.sync();
-  histogram_dispatch_async(histogram_kind::standard, d, bins, s,
-                           device::kernel_tier::portable);
-  s.sync();
-  const auto after = device::kernel_tier_launch_totals();
-  EXPECT_EQ(after.vector - before.vector, 1u);
-  EXPECT_EQ(after.portable - before.portable, 1u);
-}
-
-TEST(HistogramTiers, VectorMatchesPortable) {
+TEST(HistogramReference, ProductionMatchesReference) {
   rng r(22);
   const std::size_t nbins = 1024;
   for (const std::size_t n :
@@ -339,78 +290,13 @@ TEST(HistogramTiers, VectorMatchesPortable) {
     device::buffer<u32> a(nbins, device::space::device);
     device::buffer<u32> b(nbins, device::space::device);
     device::stream s;
-    histogram_async(d, a, s);
-    histogram_vector_async(d, b, s);
+    histogram_reference_async(d, a, s);
+    histogram_async(d, b, s);
     s.sync();
     for (std::size_t k = 0; k < nbins; ++k) {
       ASSERT_EQ(a.data()[k], b.data()[k]) << "n=" << n << " bin " << k;
     }
   }
-}
-
-TEST(CompactTiers, VectorMatchesPortable) {
-  rng r(23);
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{255}, std::size_t{50000}}) {
-    std::vector<u8> flags(n, 0);
-    std::vector<i64> vals(n, 0);
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (r.next_below(11) == 0) {
-        flags[i] = 1;
-        vals[i] = static_cast<i64>(r.next_below(2000)) - 1000;
-        expected++;
-      }
-    }
-    auto df = to_device(flags);
-    auto dv = to_device(vals);
-    device::buffer<outlier> oa(expected + 4, device::space::device);
-    device::buffer<outlier> ob(expected + 4, device::space::device);
-    u64 ca = 0, cb = 0;
-    device::stream s;
-    compact_async(df, dv, oa, &ca, s);
-    compact_vector_async(df, dv, ob, &cb, s);
-    s.sync();
-    ASSERT_EQ(ca, cb) << "n=" << n;
-    ASSERT_EQ(ca, expected);
-    for (std::size_t k = 0; k < ca; ++k) {
-      ASSERT_EQ(oa.data()[k].index, ob.data()[k].index) << "n=" << n;
-      ASSERT_EQ(oa.data()[k].value, ob.data()[k].value) << "n=" << n;
-    }
-  }
-}
-
-TEST(CompactTiers, VectorExactCapacity) {
-  // Every element flagged and capacity == n: the staging design must not
-  // write past the destination (the classic unconditional-write overrun).
-  const std::size_t n = 4096;
-  std::vector<u8> flags(n, 1);
-  std::vector<i64> vals(n);
-  for (std::size_t i = 0; i < n; ++i) vals[i] = static_cast<i64>(i) - 2048;
-  auto df = to_device(flags);
-  auto dv = to_device(vals);
-  device::buffer<outlier> out(n, device::space::device);
-  u64 count = 0;
-  device::stream s;
-  compact_vector_async(df, dv, out, &count, s);
-  s.sync();
-  ASSERT_EQ(count, n);
-  for (std::size_t k = 0; k < n; ++k) {
-    ASSERT_EQ(out.data()[k].index, k);
-    ASSERT_EQ(out.data()[k].value, vals[k]);
-  }
-}
-
-TEST(CompactTiers, VectorOverflowingCapacityThrows) {
-  std::vector<u8> flags(100, 1);
-  std::vector<i64> vals(100, 1);
-  auto df = to_device(flags);
-  auto dv = to_device(vals);
-  device::buffer<outlier> out(10, device::space::device);
-  u64 count = 0;
-  device::stream s;
-  compact_vector_async(df, dv, out, &count, s);
-  EXPECT_THROW(s.sync(), error);
 }
 
 }  // namespace

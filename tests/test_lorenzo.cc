@@ -236,25 +236,34 @@ TEST(Lorenzo, RejectsNonPositiveEb) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel tiers: vector and portable must produce identical quant fields
-// (codes bit-identical, same outlier sets), so archives are tier-invariant.
+// The production kernel (row segments, unguarded interior stencil) must
+// match the per-element reference: codes bit-identical and the same
+// outlier sets, so archives do not depend on which body ran.
 
-void expect_tiers_identical(const std::vector<f32>& v, dims3 dims, f64 eb) {
+struct outlier_counts {
+  u64 codes = 0;
+  std::size_t values = 0;
+};
+
+outlier_counts expect_matches_reference(const std::vector<f32>& v,
+                                        dims3 dims, f64 eb) {
   auto dev = to_device(v);
   device::stream s;
-  quant_field portable, vector;
-  lorenzo_compress_async(dev, dims, 2 * eb, default_radius, portable, s,
-                         device::kernel_tier::portable);
+  quant_field reference, production;
+  lorenzo_compress_reference_async(dev, dims, 2 * eb, default_radius,
+                                   reference, s);
   s.sync();
-  lorenzo_compress_async(dev, dims, 2 * eb, default_radius, vector, s,
-                         device::kernel_tier::vector);
+  lorenzo_compress_async(dev, dims, 2 * eb, default_radius, production, s);
   s.sync();
 
-  ASSERT_EQ(portable.n_outliers, vector.n_outliers);
+  EXPECT_EQ(reference.n_outliers, production.n_outliers);
   for (std::size_t i = 0; i < dims.len(); ++i) {
-    ASSERT_EQ(portable.codes.data()[i], vector.codes.data()[i]) << "at " << i;
+    if (reference.codes.data()[i] != production.codes.data()[i]) {
+      ADD_FAILURE() << "code mismatch at " << i;
+      break;
+    }
   }
-  // Outlier order depends on block scheduling in both tiers; compare as
+  // Outlier order depends on block scheduling in both bodies; compare as
   // sorted sets.
   const auto sorted_outliers = [](const quant_field& f) {
     std::vector<std::pair<u64, i64>> o(f.n_outliers);
@@ -264,23 +273,24 @@ void expect_tiers_identical(const std::vector<f32>& v, dims3 dims, f64 eb) {
     std::sort(o.begin(), o.end());
     return o;
   };
-  ASSERT_EQ(sorted_outliers(portable), sorted_outliers(vector));
-  auto vo_a = portable.value_outliers;
-  auto vo_b = vector.value_outliers;
+  EXPECT_EQ(sorted_outliers(reference), sorted_outliers(production));
+  auto vo_a = reference.value_outliers;
+  auto vo_b = production.value_outliers;
   std::sort(vo_a.begin(), vo_a.end());
   std::sort(vo_b.begin(), vo_b.end());
-  ASSERT_EQ(vo_a, vo_b);
+  EXPECT_EQ(vo_a, vo_b);
 
-  // And the vector-tier field reconstructs within bound.
+  // And the production field reconstructs within bound.
   device::buffer<f32> rec(dims.len(), device::space::device);
-  lorenzo_decompress_async(vector, rec, s);
+  lorenzo_decompress_async(production, rec, s);
   s.sync();
   std::vector<f32> out(dims.len());
   std::memcpy(out.data(), rec.data(), rec.bytes());
   expect_bounded(v, out, eb);
+  return {reference.n_outliers, vo_a.size()};
 }
 
-TEST(LorenzoTiers, Identical1D) {
+TEST(LorenzoReference, Identical1D) {
   rng r(60);
   std::vector<f32> v(10007);
   f64 acc = 0;
@@ -288,10 +298,10 @@ TEST(LorenzoTiers, Identical1D) {
     acc += r.normal();
     x = static_cast<f32>(acc);
   }
-  expect_tiers_identical(v, dims3(v.size()), 1e-3);
+  expect_matches_reference(v, dims3(v.size()), 1e-3);
 }
 
-TEST(LorenzoTiers, Identical2D) {
+TEST(LorenzoReference, Identical2D) {
   const dims3 d{101, 97};
   std::vector<f32> v(d.len());
   rng r(61);
@@ -301,10 +311,10 @@ TEST(LorenzoTiers, Identical2D) {
           std::sin(0.05 * x) * std::cos(0.07 * y) * 50 + r.normal());
     }
   }
-  expect_tiers_identical(v, d, 1e-4);
+  expect_matches_reference(v, d, 1e-4);
 }
 
-TEST(LorenzoTiers, Identical3DWithValueOutliers) {
+TEST(LorenzoReference, Identical3DWithValueOutliers) {
   const dims3 d{37, 29, 11};
   std::vector<f32> v(d.len());
   rng r(62);
@@ -313,7 +323,56 @@ TEST(LorenzoTiers, Identical3DWithValueOutliers) {
   // explicit value outliers beyond the lattice range.
   v[100] = 3.0e38f;
   v[d.len() - 1] = -3.0e38f;
-  expect_tiers_identical(v, d, 1e-6);
+  expect_matches_reference(v, d, 1e-6);
+}
+
+/// Mark code outliers (spikes) and value outliers (beyond the lattice
+/// range) on both sides of every segment boundary of a row of `row_len`
+/// elements starting at `base`.
+void spike_segment_boundaries(std::vector<f32>& v, std::size_t base,
+                              std::size_t row_len) {
+  const std::size_t seg = device::runtime::instance().default_block();
+  for (std::size_t x = seg; x < row_len; x += seg) {
+    v[base + x - 1] += 500.0f;  // last element of a segment
+    v[base + x] -= 500.0f;      // first element of the next one
+    v[base + x + 1] = 3.0e38f;  // value outlier just past the boundary
+  }
+  v[base + row_len - 1] = -3.0e38f;
+}
+
+TEST(LorenzoReference, Identical1DAcrossSegments) {
+  // A 1-D field is one row: 3 full segments plus a 5-element tail.
+  const std::size_t seg = device::runtime::instance().default_block();
+  std::vector<f32> v(3 * seg + 5);
+  rng r(63);
+  f64 acc = 0;
+  for (auto& x : v) {
+    acc += r.normal() * 0.05;
+    x = static_cast<f32>(acc);
+  }
+  spike_segment_boundaries(v, 0, v.size());
+  const auto counts = expect_matches_reference(v, dims3(v.size()), 1e-3);
+  EXPECT_GT(counts.codes, 0u);
+  EXPECT_GT(counts.values, 0u);
+}
+
+TEST(LorenzoReference, Identical2DAcrossSegments) {
+  // Rows longer than one segment, so every row splits and interior rows
+  // resume their unguarded stencil mid-row.
+  const std::size_t seg = device::runtime::instance().default_block();
+  const dims3 d{2 * seg + 3, 4};
+  std::vector<f32> v(d.len());
+  rng r(64);
+  for (std::size_t y = 0; y < d.y; ++y) {
+    for (std::size_t x = 0; x < d.x; ++x) {
+      v[d.at(x, y, 0)] = static_cast<f32>(
+          std::sin(0.001 * x) * std::cos(0.5 * y) * 50 + 0.01 * r.normal());
+    }
+    spike_segment_boundaries(v, d.at(0, y, 0), d.x);
+  }
+  const auto counts = expect_matches_reference(v, d, 1e-3);
+  EXPECT_GT(counts.codes, 0u);
+  EXPECT_GT(counts.values, 0u);
 }
 
 }  // namespace

@@ -53,8 +53,7 @@ class nopredict_module_base : public predictor_module<f32> {
   [[nodiscard]] std::string_view name() const override { return "nopredict"; }
 
   void compress(const device::buffer<f32>& data, dims3 dims, f64 ebx2,
-                int radius, const pipeline_config&,
-                predictors::quant_field& out,
+                int radius, predictors::quant_field& out,
                 predictors::interp_anchors& anchors,
                 device::stream& s) override {
     anchors.lattice.clear();

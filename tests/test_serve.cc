@@ -32,12 +32,8 @@ std::vector<f32> smooth_field(dims3 d, u64 seed = 11) {
   return v;
 }
 
-/// Deterministic tests pin the kernel tier: the auto-probe picks per-host,
-/// and byte-identity comparisons must not depend on that choice.
 core::pipeline_config test_config(f64 eb = 1e-4) {
-  auto cfg = core::pipeline_config::preset_default({eb, eb_mode::rel});
-  cfg.kernel_tier = device::kernel_tier_policy::portable;
-  return cfg;
+  return core::pipeline_config::preset_default({eb, eb_mode::rel});
 }
 
 void expect_within_bound(std::span<const f32> a, std::span<const f32> b,

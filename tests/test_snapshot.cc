@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "fzmod/common/rng.hh"
 #include "fzmod/core/snapshot.hh"
@@ -120,6 +121,48 @@ TEST(Snapshot, TruncatedBlobRejected) {
   auto blob = w.finish();
   blob.resize(blob.size() - 100);
   EXPECT_THROW(snapshot_reader r(blob), error);
+}
+
+// Forged FZSN TOCs. Layout: header {u32 magic, u32 count, u64 toc_bytes},
+// then per field {u64 dims[3], u64 offset, u64 bytes, u8 type,
+// u8 name_len} and the name.
+constexpr std::size_t snap_count_at = 4;
+constexpr std::size_t snap_first_offset_at = 16 + 3 * sizeof(u64);
+
+std::vector<u8> one_field_snapshot() {
+  snapshot_writer w;
+  w.add("f", field_of(dims3{500}, 12), dims3{500});
+  return w.finish();
+}
+
+void expect_corrupt(const std::vector<u8>& blob) {
+  try {
+    snapshot_reader r(blob);
+    FAIL() << "forged TOC accepted";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::corrupt_archive) << e.what();
+  }
+}
+
+TEST(Snapshot, ForgedWrappingExtentRejected) {
+  // offset + bytes wraps to 8: a naive sum check accepts it and the
+  // archive span would start 8 bytes before the blob.
+  auto blob = one_field_snapshot();
+  const u64 offset = ~u64{0} - 7;
+  const u64 bytes = 16;
+  std::memcpy(blob.data() + snap_first_offset_at, &offset, sizeof(offset));
+  std::memcpy(blob.data() + snap_first_offset_at + sizeof(u64), &bytes,
+              sizeof(bytes));
+  expect_corrupt(blob);
+}
+
+TEST(Snapshot, ForgedHugeCountRejected) {
+  // A count the TOC cannot hold must fail as a corrupt archive, not as an
+  // allocation failure while reserving entries.
+  auto blob = one_field_snapshot();
+  const u32 count = 0xFFFFFFFFu;
+  std::memcpy(blob.data() + snap_count_at, &count, sizeof(count));
+  expect_corrupt(blob);
 }
 
 TEST(Snapshot, FinishIsNonDestructive) {

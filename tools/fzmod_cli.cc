@@ -59,7 +59,6 @@ using namespace fzmod;
                " [--secondary]\n"
                "                   [--auto balanced|throughput|ratio|"
                "quality]\n"
-               "                   [--kernel-tier auto|portable|vector]\n"
                "                   [--chunk-mb N] [--jobs N]  (chunk-parallel"
                " v3 container)\n"
                "                   [--trace OUT.json] [--trace-dot OUT.dot]"
@@ -199,10 +198,6 @@ core::pipeline_config build_config(const args& a, std::span<const f32> data,
       cfg.preprocessor = core::preprocess_log;
       cfg.eb = {eb, eb_mode::abs};
     }
-    if (a.has("--kernel-tier")) {
-      cfg.kernel_tier =
-          device::parse_kernel_tier_policy(a.get("--kernel-tier"));
-    }
     return cfg;
   }
   if (a.has("--auto")) {
@@ -230,9 +225,6 @@ core::pipeline_config build_config(const args& a, std::span<const f32> data,
   if (a.has("--predictor")) cfg.predictor = a.get("--predictor");
   if (a.has("--codec")) cfg.codec = a.get("--codec");
   if (a.has("--secondary")) cfg.secondary = true;
-  if (a.has("--kernel-tier")) {
-    cfg.kernel_tier = device::parse_kernel_tier_policy(a.get("--kernel-tier"));
-  }
   return cfg;
 }
 
