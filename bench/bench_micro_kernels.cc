@@ -184,6 +184,20 @@ void BM_HuffmanEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_HuffmanEncode)->UseRealTime();
 
+// Bit-at-a-time reference encoder on the same codes as BM_HuffmanEncode.
+void BM_HuffmanEncodeReference(benchmark::State& state) {
+  const auto codes = make_codes(1 << 20, 4.0);
+  std::vector<u32> hist(1024, 0);
+  for (const u16 c : codes) hist[c]++;
+  for (auto _ : state) {
+    auto blob = encoders::huffman_encode_reference(codes, hist);
+    benchmark::DoNotOptimize(blob.data());
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(codes.size() * 2));
+}
+BENCHMARK(BM_HuffmanEncodeReference)->UseRealTime();
+
 void BM_HuffmanDecode(benchmark::State& state) {
   const auto codes = make_codes(1 << 20, 4.0);
   std::vector<u32> hist(1024, 0);

@@ -8,7 +8,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
+
+#include "fzmod/common/error.hh"
 
 namespace fzmod {
 
@@ -75,9 +78,19 @@ struct eb_config {
 
   /// Resolve to an absolute bound given the data range (max - min). A zero
   /// range (constant field) degrades to the raw eb so quantization stays
-  /// well defined.
+  /// well defined, as does a negative one (no ordered value: all NaN).
+  /// An infinity in the input makes the range +Inf, or NaN when every
+  /// ordered value is the same infinity, and max - min of finite f64
+  /// values near ±DBL_MAX overflows to +Inf; no finite bound is a fraction
+  /// of that, so relative mode rejects it (DESIGN.md §6).
   [[nodiscard]] double resolve(double range) const {
     if (mode == eb_mode::abs) return eb;
+    // False for +Inf and for NaN.
+    FZMOD_REQUIRE(range < std::numeric_limits<double>::infinity(),
+                  status::invalid_argument,
+                  "relative error bound over a non-finite value range (an "
+                  "infinity in the input, or a range that overflows "
+                  "double); use an absolute bound");
     return range > 0 ? eb * range : eb;
   }
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "fzmod/common/error.hh"
 
@@ -28,12 +29,15 @@ autotune_report autotune(std::span<const f32> data, dims3 dims,
   // irrelevant (the real preprocessor re-resolves exactly).
   const std::size_t stride =
       std::max<std::size_t>(1, data.size() / sample_target);
-  f64 lo = data[0], hi = data[0];
+  // Seeded at the infinities so NaN samples never become a bound (min and
+  // max keep their first argument against NaN), as kernels::minmax skips
+  // NaN; a sample with no ordered value reports a zero range.
+  f64 lo = std::numeric_limits<f64>::infinity(), hi = -lo;
   for (std::size_t i = 0; i < data.size(); i += stride) {
     lo = std::min<f64>(lo, data[i]);
     hi = std::max<f64>(hi, data[i]);
   }
-  rep.sampled_range = hi - lo;
+  rep.sampled_range = hi >= lo ? hi - lo : 0.0;
   const f64 ebx2 = 2.0 * eb.resolve(rep.sampled_range);
 
   // Pass 2: quantized-neighbour-delta statistics along the contiguous

@@ -384,14 +384,93 @@ parsed_blob parse_for_decode(std::span<const u8> blob, std::span<u16> out) {
   return pb;
 }
 
-/// Encode one chunk MSB-first into `dst` (sized worst case); returns bits.
-u64 encode_chunk(std::span<const u16> chunk, const huffman_codebook& book,
-                 u8* dst) {
+// ---- encoders -------------------------------------------------------------
+
+/// Chunk `c` of a code stream (the last chunk may be short).
+std::span<const u16> chunk_span(std::span<const u16> codes, std::size_t c) {
+  const std::size_t beg = c * huffman_chunk;
+  return codes.subspan(beg, std::min(huffman_chunk, codes.size() - beg));
+}
+
+/// The blob at its exact final size, header | lens | offsets written and
+/// the payload (offsets.back() bytes at `payload_off`) zeroed.
+std::vector<u8> make_blob(const huffman_codebook& book, std::size_t count,
+                          std::span<const u64> offsets,
+                          std::size_t& payload_off) {
+  const blob_header hdr{blob_magic, static_cast<u32>(book.len.size()),
+                        static_cast<u64>(count),
+                        static_cast<u32>(offsets.size() - 1),
+                        static_cast<u32>(huffman_chunk)};
+  payload_off = sizeof(hdr) + book.len.size() + offsets.size_bytes();
+  std::vector<u8> blob(payload_off + offsets.back());
+  u8* p = blob.data();
+  std::memcpy(p, &hdr, sizeof(hdr));
+  std::memcpy(p + sizeof(hdr), book.len.data(), book.len.size());
+  std::memcpy(p + sizeof(hdr) + book.len.size(), offsets.data(),
+              offsets.size_bytes());
+  return blob;
+}
+
+/// Size pass: the exact bit count of one chunk. Checks every symbol
+/// against the codebook, so a bad stream throws before anything is packed.
+u64 chunk_bits(std::span<const u16> chunk, std::span<const u8> len) {
+  u64 bits = 0;
+  for (const u16 sym : chunk) {
+    FZMOD_REQUIRE(sym < len.size() && len[sym] != 0, status::internal,
+                  "huffman: symbol missing from codebook");
+    bits += len[sym];
+  }
+  return bits;
+}
+
+void store_be32(u8* dst, u32 w) {
+  dst[0] = static_cast<u8>(w >> 24);
+  dst[1] = static_cast<u8>(w >> 16);
+  dst[2] = static_cast<u8>(w >> 8);
+  dst[3] = static_cast<u8>(w);
+}
+
+/// Pack one chunk MSB-first into exactly (bits + 7) / 8 bytes at `dst`.
+/// `entry[sym]` is (code << 8) | len. Codes enter a 64-bit accumulator at
+/// the low end and whole 32-bit words leave from the top as big-endian
+/// stores; the final partial word stores only the bytes it covers. No
+/// store leaves the chunk's extent: neighbouring chunks pack into the
+/// same blob concurrently.
+void pack_chunk(std::span<const u16> chunk, std::span<const u32> entry,
+                u8* dst, u64 bits) {
+  u8* const words_end = dst + bits / 32 * 4;
+  u8* out = dst;
+  u64 acc = 0;
+  u32 nacc = 0;  // pending bits, right-aligned in acc; < 32 between codes
+  for (const u16 sym : chunk) {
+    const u32 e = entry[sym];
+    const u32 l = e & 0xff;
+    acc = (acc << l) | (e >> 8);
+    nacc += l;
+    if (nacc >= 32) {
+      FZMOD_REQUIRE(out < words_end, status::internal,
+                    "huffman: chunk overran its size pass");
+      nacc -= 32;
+      store_be32(out, static_cast<u32>(acc >> nacc));
+      out += 4;
+    }
+  }
+  FZMOD_REQUIRE(static_cast<u64>(out - dst) * 8 + nacc == bits,
+                status::internal,
+                "huffman: packed length differs from the size pass");
+  const u32 tail = static_cast<u32>(acc << (32 - nacc));  // left-aligned
+  for (u32 b = 0; b < nacc; b += 8) *out++ = static_cast<u8>(tail >> (24 - b));
+}
+
+/// Reference: the original bit-at-a-time writer. Encodes one chunk MSB-first
+/// into `dst` (zeroed, sized worst case); returns bits.
+u64 encode_chunk_reference(std::span<const u16> chunk,
+                           const huffman_codebook& book, u8* dst) {
   u64 bitpos = 0;
   for (const u16 sym : chunk) {
+    FZMOD_REQUIRE(sym < book.len.size() && book.len[sym] != 0,
+                  status::internal, "huffman: symbol missing from codebook");
     const u8 l = book.len[sym];
-    FZMOD_REQUIRE(l != 0, status::internal,
-                  "huffman: symbol missing from codebook");
     const u32 c = book.code[sym];
     // MSB-first append.
     for (u32 b = 0; b < l; ++b, ++bitpos) {
@@ -425,20 +504,55 @@ std::vector<u8> huffman_encode(std::span<const u16> codes,
   const auto book = huffman_codebook::build(hist);
   const std::size_t n = codes.size();
   const std::size_t nchunks = n ? (n - 1) / huffman_chunk + 1 : 0;
+  auto& pool = device::runtime::instance().pool();
 
-  // Encode chunks in parallel into scratch buffers.
+  // Size pass: each chunk's exact bit count.
+  std::vector<u64> bits(nchunks);
+  pool.parallel_for(nchunks, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) {
+      bits[c] = chunk_bits(chunk_span(codes, c), book.len);
+    }
+  });
+
+  // Scan: exclusive prefix sum of the byte lengths gives the offsets.
+  std::vector<u64> offsets(nchunks + 1, 0);
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    offsets[c + 1] = offsets[c] + (bits[c] + 7) / 8;
+  }
+
+  // Pack: every chunk straight to its offset in the exact-size blob.
+  std::size_t payload_off = 0;
+  std::vector<u8> blob = make_blob(book, n, offsets, payload_off);
+  std::vector<u32> entry(book.len.size());
+  for (std::size_t sym = 0; sym < entry.size(); ++sym) {
+    entry[sym] = (book.code[sym] << 8) | book.len[sym];
+  }
+  u8* const payload = blob.data() + payload_off;
+  pool.parallel_for(nchunks, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) {
+      pack_chunk(chunk_span(codes, c), entry, payload + offsets[c], bits[c]);
+    }
+  });
+  return blob;
+}
+
+std::vector<u8> huffman_encode_reference(std::span<const u16> codes,
+                                         std::span<const u32> hist) {
+  const auto book = huffman_codebook::build(hist);
+  const std::size_t n = codes.size();
+  const std::size_t nchunks = n ? (n - 1) / huffman_chunk + 1 : 0;
+
+  // Encode chunks in parallel into worst-case scratch buffers.
   std::vector<std::vector<u8>> scratch(nchunks);
   std::vector<u64> chunk_bytes(nchunks, 0);
   device::runtime::instance().pool().parallel_for(
       nchunks, 1, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t c = lo; c < hi; ++c) {
-          const std::size_t beg = c * huffman_chunk;
-          const std::size_t end = std::min(n, beg + huffman_chunk);
+          const auto chunk = chunk_span(codes, c);
           auto& buf = scratch[c];
-          buf.assign((end - beg) * (huffman_max_code_len / 8 + 1) + 8, 0);
-          const u64 bits =
-              encode_chunk(codes.subspan(beg, end - beg), book, buf.data());
-          chunk_bytes[c] = (bits + 7) / 8;
+          buf.assign(chunk.size() * (huffman_max_code_len / 8 + 1) + 8, 0);
+          chunk_bytes[c] =
+              (encode_chunk_reference(chunk, book, buf.data()) + 7) / 8;
         }
       });
 
@@ -447,22 +561,12 @@ std::vector<u8> huffman_encode(std::span<const u16> codes,
   for (std::size_t c = 0; c < nchunks; ++c) {
     offsets[c + 1] = offsets[c] + chunk_bytes[c];
   }
-  const blob_header hdr{blob_magic, static_cast<u32>(hist.size()),
-                        static_cast<u64>(n), static_cast<u32>(nchunks),
-                        static_cast<u32>(huffman_chunk)};
-  std::vector<u8> blob(sizeof(hdr) + hist.size() +
-                       (nchunks + 1) * sizeof(u64) + offsets[nchunks] + 8);
-  u8* p = blob.data();
-  std::memcpy(p, &hdr, sizeof(hdr));
-  p += sizeof(hdr);
-  std::memcpy(p, book.len.data(), book.len.size());
-  p += book.len.size();
-  std::memcpy(p, offsets.data(), (nchunks + 1) * sizeof(u64));
-  p += (nchunks + 1) * sizeof(u64);
+  std::size_t payload_off = 0;
+  std::vector<u8> blob = make_blob(book, n, offsets, payload_off);
   for (std::size_t c = 0; c < nchunks; ++c) {
-    std::memcpy(p + offsets[c], scratch[c].data(), chunk_bytes[c]);
+    std::memcpy(blob.data() + payload_off + offsets[c], scratch[c].data(),
+                chunk_bytes[c]);
   }
-  blob.resize(static_cast<std::size_t>(p - blob.data()) + offsets[nchunks]);
   return blob;
 }
 

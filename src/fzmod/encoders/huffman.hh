@@ -16,6 +16,17 @@
 //    Huffman layout;
 //  - fully self-contained archive blob (header + lengths + chunk offsets +
 //    bitstream), validated on decode.
+//
+// The encoder runs in three steps, cuSZ's coarse-grained encoder on host
+// threads: a parallel size pass sums each chunk's code lengths (and
+// rejects a symbol the codebook lacks before any byte is written), an
+// exclusive scan of the chunk byte lengths gives the payload offsets, and
+// a parallel pack writes every chunk straight to its offset in the blob,
+// which is allocated once at its exact size. The packer keeps a 64-bit
+// MSB-first accumulator: codes enter at the low end and whole 32-bit
+// big-endian words leave from the top, so it costs a few register ops
+// per symbol rather than per bit, and each chunk stores only into its
+// own byte extent.
 #pragma once
 
 #include <span>
@@ -43,9 +54,16 @@ struct huffman_codebook {
 };
 
 /// Encode `codes` (symbols < nbins) given their histogram. Returns a
-/// self-contained blob.
+/// self-contained blob. Throws status::internal if a symbol of `codes`
+/// has no code (a zero or missing histogram entry).
 [[nodiscard]] std::vector<u8> huffman_encode(std::span<const u16> codes,
                                              std::span<const u32> hist);
+
+/// Reference encoder: the original bit-at-a-time writer into per-chunk
+/// scratch buffers. Same contract and byte-identical output as
+/// huffman_encode; tests and bench_huffman compare the two.
+[[nodiscard]] std::vector<u8> huffman_encode_reference(
+    std::span<const u16> codes, std::span<const u32> hist);
 
 /// Width of the decoder's lookup table: codes up to this long resolve
 /// in one probe, longer ones take the canonical walk.

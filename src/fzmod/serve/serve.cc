@@ -641,7 +641,17 @@ struct server::impl {
       return;
     }
     const u64 t0 = trace::enabled() ? trace::now_ns() : 0;
+    // Record the span before the first finish(): a client that joins its
+    // futures and then turns tracing off must still find it.
+    const auto record_span = [&] {
+      if (!t0) return;
+      trace::complete("serve", "batch", t0, trace::now_ns() - t0, 0,
+                      static_cast<f64>(k));
+    };
     const std::size_t per = d.len();
+    // Every response is built before any promise is fulfilled, so a
+    // failure anywhere in the coalesced run leaves all K unanswered.
+    std::vector<response> resps(k);
     try {
       core::chunked_options copt;
       copt.chunk_elems = per;
@@ -672,36 +682,31 @@ struct server::impl {
           core::fmt::parse_chunk_container(container);
       FZMOD_REQUIRE(cv.entries.size() == k, status::internal,
                     "serve: batch produced a different chunk count");
-      // Count the batch before fulfilling any promise: a client that has
-      // already seen a batched=true response must also see it in stats().
-      batched += k;
-      ++batches;
-      trace::counter("serve.batched", static_cast<f64>(batched.load()));
       for (std::size_t i = 0; i < k; ++i) {
         const std::span<const u8> ab =
             core::fmt::chunk_archive(cv, cv.entries[i]);
-        response resp;
-        resp.ok = true;
-        resp.batched = true;
-        resp.archive.assign(ab.begin(), ab.end());
-        resp.queue_ms = ms_between(items[i].enqueued, picked);
-        resp.exec_ms = ms_between(picked, clock::now());
-        finish(items[i], std::move(resp));
+        resps[i].ok = true;
+        resps[i].batched = true;
+        resps[i].archive.assign(ab.begin(), ab.end());
+        resps[i].queue_ms = ms_between(items[i].enqueued, picked);
       }
-    } catch (const std::exception& e) {
-      for (auto& it : items) {
-        response resp;
-        resp.ok = false;
-        resp.batched = true;
-        resp.error = e.what();
-        resp.queue_ms = ms_between(it.enqueued, picked);
-        resp.exec_ms = ms_between(picked, clock::now());
-        finish(it, std::move(resp));
-      }
+    } catch (const std::exception&) {
+      // One request's bad input (say an infinity under a relative bound)
+      // fails the whole coalesced run. Serve each request alone so only
+      // that request gets a not-ok response, exactly as without batching.
+      record_span();
+      for (auto& it : items) serve_single(it);
+      return;
     }
-    if (t0) {
-      trace::complete("serve", "batch", t0, trace::now_ns() - t0, 0,
-                      static_cast<f64>(k));
+    // Count the batch before fulfilling any promise: a client that has
+    // already seen a batched=true response must also see it in stats().
+    batched += k;
+    ++batches;
+    trace::counter("serve.batched", static_cast<f64>(batched.load()));
+    record_span();
+    for (std::size_t i = 0; i < k; ++i) {
+      resps[i].exec_ms = ms_between(picked, clock::now());
+      finish(items[i], std::move(resps[i]));
     }
   }
 };

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "fzmod/common/rng.hh"
 #include "fzmod/core/autotune.hh"
@@ -113,6 +114,24 @@ TEST(Autotune, HugeValuesDoNotPoisonStatistics) {
   const auto rep = autotune(v, dims3(v.size()), {1e-10, eb_mode::abs});
   EXPECT_TRUE(std::isfinite(rep.predictability));
   EXPECT_TRUE(std::isfinite(rep.concentration));
+}
+
+TEST(Autotune, NaNSamplesAreSkippedByTheRange) {
+  // The pipeline's range scan skips NaN, so a relative bound over a field
+  // whose only non-finite values are NaN is well defined; the sampled
+  // range must skip them too, even in the first position.
+  auto v = smooth_field(60000);
+  v[0] = std::numeric_limits<f32>::quiet_NaN();
+  v[30000] = std::numeric_limits<f32>::quiet_NaN();
+  const auto rep = autotune(v, dims3(v.size()), {1e-4, eb_mode::rel});
+  EXPECT_TRUE(std::isfinite(rep.sampled_range));
+  EXPECT_GT(rep.sampled_range, 0.0);
+  EXPECT_LE(rep.sampled_range, 200.0);
+
+  const std::vector<f32> all_nan(1000, std::numeric_limits<f32>::quiet_NaN());
+  EXPECT_EQ(autotune(all_nan, dims3(all_nan.size()), {1e-4, eb_mode::rel})
+                .sampled_range,
+            0.0);
 }
 
 }  // namespace

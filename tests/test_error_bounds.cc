@@ -4,12 +4,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <functional>
+#include <limits>
 #include <tuple>
+
+#include <unistd.h>
 
 #include "fzmod/baselines/compressor.hh"
 #include "fzmod/common/rng.hh"
+#include "fzmod/core/autotune.hh"
+#include "fzmod/core/chunked.hh"
+#include "fzmod/core/pipeline.hh"
+#include "fzmod/core/stf_pipeline.hh"
+#include "fzmod/core/stream_io.hh"
+#include "fzmod/data/io.hh"
 #include "fzmod/kernels/stats.hh"
 #include "fzmod/metrics/metrics.hh"
+#include "fzmod/serve/serve.hh"
 
 namespace fzmod {
 namespace {
@@ -135,6 +147,146 @@ TEST(ErrorBoundContract, LosslessCompressorsAgreeOnDecodedLength) {
     const auto rec = c->decompress(c->compress(v, d, {1e-3, eb_mode::rel}));
     EXPECT_EQ(rec.size(), v.size()) << name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite policy (DESIGN.md §6): an infinity makes the value range
+// non-finite, so every path that resolves a relative bound rejects the
+// input with invalid_argument instead of quantizing every finite value to
+// NaN. The same field under an absolute bound keeps the contract, with
+// the infinity restored exactly.
+
+template <class T>
+std::vector<T> sine_with_inf(T inf) {
+  std::vector<T> v(4096);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<T>(std::sin(0.01 * static_cast<f64>(i)) * 100);
+  }
+  v[1234] = inf;
+  return v;
+}
+
+void expect_invalid_argument(const std::string& path,
+                             const std::function<void()>& run) {
+  try {
+    run();
+    ADD_FAILURE() << path << " accepted a relative bound over an "
+                             "infinite value range";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::invalid_argument) << path << ": " << e.what();
+  }
+}
+
+template <class T>
+void expect_abs_roundtrip(const std::string& path, std::span<const T> v,
+                          std::span<const T> rec, f64 eb) {
+  ASSERT_EQ(rec.size(), v.size()) << path;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const f64 x = static_cast<f64>(v[i]), y = static_cast<f64>(rec[i]);
+    if (std::isinf(x)) {
+      ASSERT_EQ(x, y) << path << " at " << i;
+    } else {
+      ASSERT_LE(std::fabs(x - y), metrics::f32_bound_slack(eb, 100.0))
+          << path << " at " << i;
+    }
+  }
+}
+
+template <class T>
+void check_non_finite_policy(T inf) {
+  const std::string tag = std::string(sizeof(T) == 4 ? "f32" : "f64") +
+                          (inf > 0 ? " +Inf " : " -Inf ");
+  const auto v = sine_with_inf(inf);
+  const std::span<const T> field(v);
+  const dims3 d{v.size()};
+  const eb_config rel{1e-4, eb_mode::rel};
+  const eb_config abs{1e-2, eb_mode::abs};
+  core::chunked_options copt;
+  copt.chunk_elems = 1024;
+  copt.jobs = 2;
+
+  for (const char* preset : {"default", "speed", "quality"}) {
+    const std::string path = tag + "pipeline " + preset;
+    expect_invalid_argument(path, [&] {
+      core::pipeline<T> pipe(core::pipeline_config::preset(preset, rel));
+      (void)pipe.compress(field, d);
+    });
+    expect_invalid_argument(tag + "chunked " + preset, [&] {
+      core::chunked_pipeline<T> pipe(
+          core::pipeline_config::preset(preset, rel), copt);
+      (void)pipe.compress(field, d);
+    });
+    core::pipeline<T> pipe(core::pipeline_config::preset(preset, abs));
+    expect_abs_roundtrip<T>(path + " abs", field,
+                            pipe.decompress(pipe.compress(field, d)), abs.eb);
+    core::chunked_pipeline<T> chunked(
+        core::pipeline_config::preset(preset, abs), copt);
+    expect_abs_roundtrip<T>(tag + "chunked " + preset + " abs", field,
+                            chunked.decompress(chunked.compress(field, d)),
+                            abs.eb);
+  }
+  expect_invalid_argument(tag + "pipeline log", [&] {
+    auto cfg = core::pipeline_config::preset_default(rel);
+    cfg.preprocessor = core::preprocess_log;
+    core::pipeline<T> pipe(cfg);
+    (void)pipe.compress(field, d);
+  });
+
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("fzmod_nonfinite_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string in = (dir / "in.raw").string();
+  data::write_file(in, std::span<const u8>(
+                           reinterpret_cast<const u8*>(v.data()),
+                           v.size() * sizeof(T)));
+  core::stream_options sopt;
+  sopt.chunk = copt;
+  expect_invalid_argument(tag + "streaming", [&] {
+    (void)core::compress_file_stream<T>(
+        in, d, (dir / "out.fzmod").string(),
+        core::pipeline_config::preset_default(rel), sopt);
+  });
+  std::filesystem::remove_all(dir);
+}
+
+void check_non_finite_policy_f32_only(f32 inf) {
+  const std::string tag = inf > 0 ? "f32 +Inf " : "f32 -Inf ";
+  const auto v = sine_with_inf(inf);
+  const dims3 d{v.size()};
+  const eb_config rel{1e-4, eb_mode::rel};
+  const eb_config abs{1e-2, eb_mode::abs};
+
+  for (const auto& name : baselines::all_names()) {
+    const auto c = baselines::make(name);
+    expect_invalid_argument(tag + name,
+                            [&] { (void)c->compress(v, d, rel); });
+    expect_abs_roundtrip<f32>(tag + name + " abs", v,
+                              c->decompress(c->compress(v, d, abs)), abs.eb);
+  }
+  expect_invalid_argument(tag + "stf",
+                          [&] { (void)core::stf_compress(v, d, rel); });
+  expect_abs_roundtrip<f32>(
+      tag + "stf abs", v,
+      core::stf_decompress(core::stf_compress(v, d, abs)), abs.eb);
+  expect_invalid_argument(tag + "autotune",
+                          [&] { (void)core::autotune(v, d, rel); });
+
+  serve::server srv(core::pipeline_config::preset_default(rel));
+  serve::request req;
+  req.data = v;
+  req.dims = d;
+  const serve::response resp = srv.submit(std::move(req)).get();
+  EXPECT_FALSE(resp.ok) << tag << "serve accepted a relative bound over an "
+                                  "infinite value range";
+}
+
+TEST(NonFiniteRange, RelativeBoundRejectedOnEveryPathAbsoluteRoundTrips) {
+  check_non_finite_policy(std::numeric_limits<f32>::infinity());
+  check_non_finite_policy(-std::numeric_limits<f32>::infinity());
+  check_non_finite_policy(std::numeric_limits<f64>::infinity());
+  check_non_finite_policy(-std::numeric_limits<f64>::infinity());
+  check_non_finite_policy_f32_only(std::numeric_limits<f32>::infinity());
+  check_non_finite_policy_f32_only(-std::numeric_limits<f32>::infinity());
 }
 
 }  // namespace

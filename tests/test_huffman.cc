@@ -19,9 +19,34 @@ std::vector<u32> histogram_of(std::span<const u16> codes, std::size_t nbins) {
   return h;
 }
 
+/// Fibonacci frequencies: maximal skew, so the unbounded tree is far
+/// deeper than huffman_max_code_len and the length cap kicks in.
+std::vector<u32> fibonacci_freq() {
+  std::vector<u32> freq(48);
+  u64 a = 1, b = 1;
+  for (auto& f : freq) {
+    f = static_cast<u32>(std::min<u64>(a, 0x7fffffff));
+    const u64 c = a + b;
+    a = b;
+    b = c;
+  }
+  return freq;
+}
+
+/// Encode with the production encoder and check the bit-at-a-time
+/// reference writes the same bytes.
+std::vector<u8> encode_expect_reference(std::span<const u16> codes,
+                                        std::span<const u32> hist) {
+  auto blob = huffman_encode(codes, hist);
+  EXPECT_TRUE(blob == huffman_encode_reference(codes, hist))
+      << "production and reference encoders disagree on " << codes.size()
+      << " symbols";
+  return blob;
+}
+
 void roundtrip_expect(const std::vector<u16>& codes, std::size_t nbins) {
   const auto hist = histogram_of(codes, nbins);
-  const auto blob = huffman_encode(codes, hist);
+  const auto blob = encode_expect_reference(codes, hist);
   ASSERT_EQ(huffman_decoded_count(blob), codes.size());
   std::vector<u16> out(codes.size());
   huffman_decode(blob, out);
@@ -72,14 +97,7 @@ TEST(HuffmanCodebook, EmptyHistogramThrows) {
 
 TEST(HuffmanCodebook, LengthCapEnforcedOnPathologicalInput) {
   // Fibonacci-like frequencies force maximal skew (unbounded depth).
-  std::vector<u32> freq(48);
-  u64 a = 1, b = 1;
-  for (auto& f : freq) {
-    f = static_cast<u32>(std::min<u64>(a, 0x7fffffff));
-    const u64 c = a + b;
-    a = b;
-    b = c;
-  }
+  const auto freq = fibonacci_freq();
   const auto book = huffman_codebook::build(freq);
   u8 maxlen = 0;
   f64 kraft = 0;
@@ -206,14 +224,7 @@ TEST(Huffman, RoundTripAllEqualFrequencies) {
 TEST(Huffman, DeepBookTakesCanonicalSlowPath) {
   // Fibonacci frequencies push codes past the decoder's lookup table, so
   // the rare symbols decode through the canonical walk inside it.
-  std::vector<u32> freq(48);
-  u64 a = 1, b = 1;
-  for (auto& f : freq) {
-    f = static_cast<u32>(std::min<u64>(a, 0x7fffffff));
-    const u64 c = a + b;
-    a = b;
-    b = c;
-  }
+  const auto freq = fibonacci_freq();
   const auto book = huffman_codebook::build(freq);
   u32 max_len = 0;
   for (const u8 l : book.len) max_len = std::max<u32>(max_len, l);
@@ -224,7 +235,7 @@ TEST(Huffman, DeepBookTakesCanonicalSlowPath) {
   for (auto& c : codes) c = static_cast<u16>(r.next_below(freq.size()));
   // Encode against the skewed Fibonacci frequencies, not the near-uniform
   // histogram of `codes`, so the blob really carries the deep book.
-  const auto blob = huffman_encode(codes, freq);
+  const auto blob = encode_expect_reference(codes, freq);
   std::vector<u16> out(codes.size());
   std::vector<u16> ref_out(codes.size());
   huffman_decode(blob, out);
@@ -232,6 +243,44 @@ TEST(Huffman, DeepBookTakesCanonicalSlowPath) {
   for (std::size_t i = 0; i < codes.size(); ++i) {
     ASSERT_EQ(out[i], codes[i]) << "at " << i;
     ASSERT_EQ(ref_out[i], codes[i]) << "reference at " << i;
+  }
+}
+
+TEST(Huffman, MaxLengthCodesStraddleWordFlushes) {
+  // The Fibonacci book gives 27 of its 48 symbols 24-bit codes; a stream
+  // drawn uniformly over the 48 is mostly such codes, so many of them
+  // straddle the packer's 32-bit word flushes.
+  const auto freq = fibonacci_freq();
+  const auto book = huffman_codebook::build(freq);
+  ASSERT_EQ(*std::max_element(book.len.begin(), book.len.end()),
+            huffman_max_code_len);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, huffman_chunk,
+                              2 * huffman_chunk + 7}) {
+    rng r(42 + n);
+    std::vector<u16> codes(n);
+    for (auto& c : codes) c = static_cast<u16>(r.next_below(freq.size()));
+    const auto blob = encode_expect_reference(codes, freq);
+    std::vector<u16> out(codes.size());
+    huffman_decode(blob, out);
+    EXPECT_EQ(out, codes) << "n=" << n;
+  }
+}
+
+TEST(Huffman, SymbolMissingFromHistogramThrowsInternal) {
+  // Symbol 6 has a zero count; symbol 9 lies past the 8-bin histogram.
+  for (const u16 missing : {u16{6}, u16{9}}) {
+    std::vector<u16> codes(3 * huffman_chunk, 1);
+    codes[2 * huffman_chunk + 5] = missing;
+    std::vector<u32> hist(8, 0);
+    hist[1] = static_cast<u32>(codes.size() - 1);
+    for (const auto encode : {&huffman_encode, &huffman_encode_reference}) {
+      try {
+        (void)encode(codes, hist);
+        ADD_FAILURE() << "missing symbol " << missing << " was encoded";
+      } catch (const error& e) {
+        EXPECT_EQ(e.code(), status::internal) << e.what();
+      }
+    }
   }
 }
 

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "fzmod/metrics/metrics.hh"
 #include "fzmod/serve/daemon.hh"
 #include "fzmod/serve/serve.hh"
+#include "fzmod/trace/trace.hh"
 
 namespace fzmod::serve {
 namespace {
@@ -383,9 +386,20 @@ TEST(ServeServer, BatchDemuxIsByteIdenticalToIndividualRuns) {
     fields.push_back(smooth_field(d, 100 + static_cast<u64>(i)));
   }
   core::pipeline<f32> reference(test_config());
+  // Runs traced: the coalesced run's serve/batch span must be recorded
+  // before any promise is fulfilled, so it survives tracing being turned
+  // off the moment the last future resolves.
+  struct trace_off_at_exit {
+    ~trace_off_at_exit() {
+      trace::set_enabled(false);
+      trace::clear();
+    }
+  } trace_guard;
 
   bool coalesced = false;
   for (int a = 0; a < kPremiseAttempts && !coalesced; ++a) {
+    trace::clear();
+    trace::set_enabled(true);
     server_options sopt;
     sopt.workers = 1;
     sopt.queue_depth = 32;
@@ -403,8 +417,10 @@ TEST(ServeServer, BatchDemuxIsByteIdenticalToIndividualRuns) {
     EXPECT_TRUE(blocker.get().ok);
 
     std::vector<response> resps;
-    for (std::size_t i = 0; i < futs.size(); ++i) {
-      response r = futs[i].get();
+    for (auto& f : futs) resps.push_back(f.get());
+    trace::set_enabled(false);
+    for (std::size_t i = 0; i < resps.size(); ++i) {
+      const response& r = resps[i];
       ASSERT_TRUE(r.ok) << r.error;
       // Byte identity holds whether or not coalescing happened: chunk k of
       // the coalesced container IS request k's standalone archive (rel
@@ -416,7 +432,6 @@ TEST(ServeServer, BatchDemuxIsByteIdenticalToIndividualRuns) {
       EXPECT_EQ(0, std::memcmp(r.archive.data(), individual.data(),
                                individual.size()));
       expect_within_bound(fields[i], reference.decompress(r.archive), 1e-4);
-      resps.push_back(std::move(r));
     }
     // peak_depth >= 4 proves all four were co-queued before the first
     // gather (the single worker removes nothing mid-load), so the server
@@ -428,9 +443,78 @@ TEST(ServeServer, BatchDemuxIsByteIdenticalToIndividualRuns) {
       for (const auto& r : resps) EXPECT_TRUE(r.batched);
       EXPECT_EQ(st.batched, 4u);
       EXPECT_EQ(st.batches, 1u);
+      std::size_t batch_spans = 0;
+      for (const trace::event& e : trace::snapshot()) {
+        if (e.k == trace::kind::span && std::string_view(e.cat) == "serve" &&
+            std::string_view(e.name) == "batch") {
+          ++batch_spans;
+          EXPECT_EQ(e.value, 4.0);
+        }
+      }
+      EXPECT_EQ(batch_spans, 1u);
     }
   }
   ASSERT_TRUE(coalesced)
+      << "four requests were never co-queued across " << kPremiseAttempts
+      << " attempts";
+}
+
+TEST(ServeServer, BadRequestInBatchFailsOnlyItself) {
+  dims3 bd;
+  const auto bf = blocker_field(bd);
+  const dims3 d{50, 20, 4};
+  std::vector<std::vector<f32>> fields;
+  for (int i = 0; i < 4; ++i) {
+    fields.push_back(smooth_field(d, 200 + static_cast<u64>(i)));
+  }
+  // No finite bound is a fraction of an infinite range: request 2 alone
+  // must fail, the other three must not notice it was queued beside them.
+  constexpr std::size_t bad = 2;
+  fields[bad][17] = std::numeric_limits<f32>::infinity();
+  core::pipeline<f32> reference(test_config());
+
+  bool coqueued = false;
+  for (int a = 0; a < kPremiseAttempts && !coqueued; ++a) {
+    server_options sopt;
+    sopt.workers = 1;
+    sopt.queue_depth = 32;
+    sopt.batch_max = 8;
+    sopt.batch_elems = 1 << 16;
+    server srv(test_config(), sopt);
+
+    auto blocker = occupy_worker(srv, bf, bd);
+    std::vector<std::future<response>> futs;
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      futs.push_back(submit_compress(srv, fields[i], d,
+                                     "t" + std::to_string(i)));
+    }
+    EXPECT_TRUE(blocker.get().ok);
+
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      const response r = futs[i].get();
+      if (i == bad) {
+        EXPECT_FALSE(r.ok);
+        EXPECT_NE(r.error.find("non-finite value range"), std::string::npos)
+            << r.error;
+        continue;
+      }
+      ASSERT_TRUE(r.ok) << r.error;
+      const auto individual =
+          reference.compress(std::span<const f32>(fields[i]), d);
+      ASSERT_EQ(r.archive.size(), individual.size());
+      EXPECT_EQ(0, std::memcmp(r.archive.data(), individual.data(),
+                               individual.size()));
+    }
+    // Co-queued (see BatchDemuxIsByteIdenticalToIndividualRuns): the four
+    // went into one coalesced run, which failed and was served one by one.
+    const auto st = srv.stats();
+    if (st.peak_depth >= 4) {
+      coqueued = true;
+      EXPECT_EQ(st.batches, 0u);
+      EXPECT_EQ(st.batched, 0u);
+    }
+  }
+  ASSERT_TRUE(coqueued)
       << "four requests were never co-queued across " << kPremiseAttempts
       << " attempts";
 }
