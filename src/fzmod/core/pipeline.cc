@@ -157,6 +157,12 @@ template <class T>
 std::vector<u8> pipeline<T>::compress(const device::buffer<T>& data,
                                       dims3 dims, device::stream& s) {
   const detail::busy_scope in_call(busy_);
+  return compress_held(data, dims, s);
+}
+
+template <class T>
+std::vector<u8> pipeline<T>::compress_held(const device::buffer<T>& data,
+                                           dims3 dims, device::stream& s) {
   FZMOD_REQUIRE(data.size() == dims.len(), status::invalid_argument,
                 "pipeline: data size does not match dims");
   FZMOD_TRACE_SPAN("pipeline", "compress");
@@ -315,20 +321,26 @@ std::vector<u8> pipeline<T>::compress(const device::buffer<T>& data,
 template <class T>
 std::vector<u8> pipeline<T>::compress(std::span<const T> host_data,
                                       dims3 dims) {
-  // The stream is declared after the buffer so it drains (dtor syncs)
-  // before the buffer can return its block to the pool — if compress
-  // throws past a queued copy, the copy must not land in freed memory.
-  device::buffer<T> dev(host_data.size(), device::space::device);
+  const detail::busy_scope in_call(busy_);
+  // The stream drains (dtor syncs) before the scope ends, so a copy
+  // queued before a throw never lands in scratch the next call reuses.
+  host_io_scratch_.ensure(host_data.size(), device::space::device);
   device::stream s;
-  device::memcpy_async(dev.data(), host_data.data(), host_data.size_bytes(),
-                       device::copy_kind::h2d, s);
-  return compress(dev, dims, s);
+  device::memcpy_async(host_io_scratch_.data(), host_data.data(),
+                       host_data.size_bytes(), device::copy_kind::h2d, s);
+  return compress_held(host_io_scratch_, dims, s);
 }
 
 template <class T>
 void pipeline<T>::decompress(std::span<const u8> archive,
                              device::buffer<T>& out, device::stream& s) {
   const detail::busy_scope in_call(busy_);
+  decompress_held(archive, out, s);
+}
+
+template <class T>
+void pipeline<T>::decompress_held(std::span<const u8> archive,
+                                  device::buffer<T>& out, device::stream& s) {
   FZMOD_TRACE_SPAN("pipeline", "decompress");
   stopwatch sw;
   const fmt::outer_view ov = fmt::parse_outer(archive);
@@ -371,11 +383,25 @@ void pipeline<T>::decompress(std::span<const u8> archive,
   decompress_timings_.verify += sw.seconds();
   trace_stage("verify", sw.seconds());
 
-  // Resolve the modules the archive names (may be custom, user-registered).
+  // Resolve the modules the archive names (may be custom, user-registered),
+  // keeping the ones the previous decode resolved when the names match.
   auto& reg = module_registry<T>::instance();
-  auto preprocessor = reg.make_preprocessor(get_name(hdr.preprocessor));
-  auto predictor = reg.make_predictor(get_name(hdr.predictor));
-  auto codec = reg.make_codec(get_name(hdr.codec));
+  const std::string preprocessor_name = get_name(hdr.preprocessor);
+  const std::string predictor_name = get_name(hdr.predictor);
+  const std::string codec_name = get_name(hdr.codec);
+  if (!decode_preprocessor_ ||
+      decode_preprocessor_->name() != preprocessor_name) {
+    decode_preprocessor_ = reg.make_preprocessor(preprocessor_name);
+  }
+  if (!decode_predictor_ || decode_predictor_->name() != predictor_name) {
+    decode_predictor_ = reg.make_predictor(predictor_name);
+  }
+  if (!decode_codec_ || decode_codec_->name() != codec_name) {
+    decode_codec_ = reg.make_codec(codec_name);
+  }
+  preprocessor_module<T>& preprocessor = *decode_preprocessor_;
+  predictor_module<T>& predictor = *decode_predictor_;
+  codec_module& codec = *decode_codec_;
 
   // Rebuild the quant_field IR into retained scratch.
   sw.reset();
@@ -384,7 +410,7 @@ void pipeline<T>::decompress(std::span<const u8> archive,
   field.radius = hdr.radius;
   field.ebx2 = hdr.ebx2;
   field.codes.ensure(dims.len(), device::space::device);
-  codec->decode(sections.codec, hdr.radius, field.codes, s);
+  codec.decode(sections.codec, hdr.radius, field.codes, s);
   decompress_timings_.encode = sw.seconds();
   trace_stage("encode", decompress_timings_.encode);
 
@@ -419,13 +445,13 @@ void pipeline<T>::decompress(std::span<const u8> archive,
   }
 
   // Stage 2 inverse: reconstruct, then stage 1 inverse (value transform).
-  predictor->decompress(field, anchors, out, s);
+  predictor.decompress(field, anchors, out, s);
   s.sync();
   decompress_timings_.predict = sw.seconds();
   trace_stage("predict", decompress_timings_.predict);
   sw.reset();
-  if (preprocessor->transforms()) {
-    preprocessor->inverse(out, s);
+  if (preprocessor.transforms()) {
+    preprocessor.inverse(out, s);
     s.sync();
   }
   decompress_timings_.preprocess = sw.seconds();
@@ -440,12 +466,13 @@ std::vector<T> pipeline<T>::decompress(std::span<const u8> archive) {
   // so a corrupted blob is rejected before any parser touches it.
   fmt::verify_outer(fmt::parse_outer(archive));
   const archive_info info = inspect_archive(archive);
-  device::buffer<T> dev(info.dims.len(), device::space::device);
-  device::stream s;  // declared after dev: drains before dev frees
-  decompress(archive, dev, s);
+  const detail::busy_scope in_call(busy_);
+  host_io_scratch_.ensure(info.dims.len(), device::space::device);
+  device::stream s;
+  decompress_held(archive, host_io_scratch_, s);
   std::vector<T> host(info.dims.len());
-  device::memcpy_async(host.data(), dev.data(), dev.bytes(),
-                       device::copy_kind::d2h, s);
+  device::memcpy_async(host.data(), host_io_scratch_.data(),
+                       host_io_scratch_.bytes(), device::copy_kind::d2h, s);
   s.sync();
   return host;
 }

@@ -139,7 +139,8 @@ class pipeline {
                                          dims3 dims, device::stream& s);
 
   /// Convenience: host data in, archive out (pays the H2D transfer, which
-  /// is part of the end-to-end cost the paper measures).
+  /// is part of the end-to-end cost the paper measures). The device copy
+  /// lands in retained scratch.
   [[nodiscard]] std::vector<u8> compress(std::span<const T> host_data,
                                          dims3 dims);
 
@@ -147,7 +148,8 @@ class pipeline {
   void decompress(std::span<const u8> archive, device::buffer<T>& out,
                   device::stream& s);
 
-  /// Convenience: archive in, host vector out.
+  /// Convenience: archive in, host vector out (decoded in retained
+  /// scratch, then copied out).
   [[nodiscard]] std::vector<T> decompress(std::span<const u8> archive);
 
   [[nodiscard]] const pipeline_config& config() const { return cfg_; }
@@ -162,6 +164,12 @@ class pipeline {
   }
 
  private:
+  // The bodies of the public calls, which hold busy_ around them.
+  std::vector<u8> compress_held(const device::buffer<T>& data, dims3 dims,
+                                device::stream& s);
+  void decompress_held(std::span<const u8> archive, device::buffer<T>& out,
+                       device::stream& s);
+
   pipeline_config cfg_;
   std::unique_ptr<preprocessor_module<T>> preprocessor_;
   std::unique_ptr<predictor_module<T>> predictor_;
@@ -183,7 +191,7 @@ class pipeline {
   /// Serialized trailing spec section appended to every archive this
   /// pipeline writes. Built once in the constructor from the canonical
   /// spec text of cfg_, so equal configs keep producing byte-identical
-  /// archives (the determinism + batch-demux contracts).
+  /// archives (the determinism contract).
   std::vector<u8> spec_section_;
   device::buffer<T> transformed_scratch_;
   predictors::quant_field compress_field_;
@@ -191,6 +199,15 @@ class pipeline {
   predictors::quant_field decompress_field_;
   predictors::interp_anchors decompress_anchors_;
   std::vector<kernels::outlier> outlier_scratch_;
+  /// Device side of the host-span overloads: the field in for compress,
+  /// the reconstruction for decompress.
+  device::buffer<T> host_io_scratch_;
+  /// Decode-side modules, kept like the encode-side ones above and
+  /// rebuilt only when an archive names different ones, so their
+  /// workspaces are retained scratch too.
+  std::unique_ptr<preprocessor_module<T>> decode_preprocessor_;
+  std::unique_ptr<predictor_module<T>> decode_predictor_;
+  std::unique_ptr<codec_module> decode_codec_;
 };
 
 }  // namespace fzmod::core

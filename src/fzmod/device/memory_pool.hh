@@ -19,7 +19,7 @@
 //
 // The pool can be disabled (pass-through to the system allocator) with the
 // environment variable `FZMOD_POOL=0` or at runtime via `set_enabled` —
-// the A/B knob bench_serving_alloc uses. Blocks are *always* sized to
+// the A/B knob bench_serving uses. Blocks are *always* sized to
 // their bin, even while disabled, so toggling mid-run can never cache a
 // block smaller than its bin claims.
 #pragma once

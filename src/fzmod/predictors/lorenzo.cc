@@ -328,14 +328,14 @@ void lorenzo_decompress_async(const quant_field& field,
   FZMOD_REQUIRE(field.ebx2 > 0, status::corrupt_archive,
                 "lorenzo: archive has non-positive error bound");
 
-  auto deltas = std::make_shared<device::buffer<i32>>(n,
-                                                      device::space::device);
+  device::buffer<i32>& deltas = field.lattice_scratch;
+  deltas.ensure(n, device::space::device);
 
   // Codes -> centred deltas (outlier sentinel becomes 0, overwritten by the
   // scatter below).
   {
     const u16* codes = field.codes.data();
-    i32* d = deltas->data();
+    i32* d = deltas.data();
     const int radius = field.radius;
     device::launch(s, n, [codes, d, radius](std::size_t i) {
       const u16 c = codes[i];
@@ -347,7 +347,7 @@ void lorenzo_decompress_async(const quant_field& field,
   {
     const kernels::outlier* src = field.outliers.data();
     const u64 count = field.n_outliers;
-    i32* d = deltas->data();
+    i32* d = deltas.data();
     device::launch(s, count, [src, d, n](std::size_t i) {
       const auto& o = src[i];
       FZMOD_REQUIRE(o.index < n, status::corrupt_archive,
@@ -358,16 +358,16 @@ void lorenzo_decompress_async(const quant_field& field,
 
   // Invert the Lorenzo difference: one inclusive prefix sum per dimension.
   const int rank = field.dims.rank();
-  kernels::inclusive_scan_rows_async(*deltas, field.dims, s);
-  if (rank >= 2) kernels::inclusive_scan_cols_async(*deltas, field.dims, s);
-  if (rank >= 3) kernels::inclusive_scan_slices_async(*deltas, field.dims, s);
+  kernels::inclusive_scan_rows_async(deltas, field.dims, s);
+  if (rank >= 2) kernels::inclusive_scan_cols_async(deltas, field.dims, s);
+  if (rank >= 3) kernels::inclusive_scan_slices_async(deltas, field.dims, s);
 
   // Lattice -> values, then restore raw value outliers exactly.
   {
-    const i32* q = deltas->data();
+    const i32* q = deltas.data();
     T* outp = data.data();
     const f64 ebx2 = field.ebx2;
-    device::launch(s, n, [q, outp, ebx2, deltas](std::size_t i) {
+    device::launch(s, n, [q, outp, ebx2](std::size_t i) {
       outp[i] = static_cast<T>(static_cast<f64>(q[i]) * ebx2);
     });
   }

@@ -36,7 +36,8 @@ void lorenzo_compress_reference_async(const device::buffer<T>& data,
                                       dims3 dims, f64 ebx2, int radius,
                                       quant_field& out, device::stream& s);
 
-/// Reconstruct into `data` (device, presized to field.dims.len()).
+/// Reconstruct into `data` (device, presized to field.dims.len()). Works
+/// in `field.lattice_scratch`, so `field` must outlive the stream's sync.
 template <class T>
 void lorenzo_decompress_async(const quant_field& field,
                               device::buffer<T>& data, device::stream& s);

@@ -44,8 +44,10 @@ struct quant_field {
   // Predictor-internal scratch (the pre-quantized integer lattice). Lives
   // here so a pipeline that reuses its quant_field across calls reaches
   // zero steady-state allocations; callers never read it. Like `codes`,
-  // it is only valid once the stream that filled it has been synced.
-  device::buffer<i32> lattice_scratch;
+  // it is only valid once the stream that filled it has been synced, and
+  // the field must outlive that sync. Mutable because decompression takes
+  // the field const and reuses it too.
+  mutable device::buffer<i32> lattice_scratch;
 };
 
 }  // namespace fzmod::predictors

@@ -4,8 +4,8 @@
 // domain socket (many concurrent client connections, one in-flight
 // request per connection) or the process's stdin/stdout (single client,
 // e.g. driven by a supervisor through a pipe pair). Every request funnels
-// into one `serve::server`, so admission control, tenant fairness and
-// small-request batching apply across all connections.
+// into one `serve::server`, so admission control and tenant fairness
+// apply across all connections.
 //
 // Wire format (little-endian; full spec + a worked example in
 // docs/SERVING.md):

@@ -22,20 +22,15 @@
 //     tenant, served round-robin, so one tenant's flood cannot starve
 //     another's trickle.
 //
-//   - Small compress requests (at most `batch_elems` elements) that are
-//     queued together and share a shape are coalesced into ONE
-//     `core::chunked_pipeline` run — the same amortization FZ-GPU and
-//     cuSZ make for batching kernel work. Each request becomes exactly
-//     one chunk of the combined field, so the demuxed per-chunk archives
-//     are byte-identical to compressing each request individually
-//     (chunk archives are standalone v2 archives; a relative bound
-//     resolves against the chunk's own value range, which IS the
-//     request's data).
+// Every request runs exactly once, on its own: a compress on a pooled
+// pipeline (or, with a per-request spec, on a pipeline built for that
+// request), a decompress on a pooled pipeline or, for a v3 container, the
+// chunked decoder. Served archives are therefore byte-identical to
+// `core::pipeline::compress` of the same request.
 //
 // Everything is observable through the trace subsystem: per-request
 // "serve" spans, `serve.queue.depth` occupancy samples, and cumulative
-// `serve.admitted` / `serve.rejected` / `serve.batched` counters
-// (docs/OBSERVABILITY.md).
+// `serve.admitted` / `serve.rejected` counters (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <chrono>
@@ -53,15 +48,11 @@ namespace fzmod::serve {
 // Pipeline pool
 
 /// Pool sizing. Zero means "resolve from the environment, then fall back
-/// to the default": FZMOD_SERVE_POOL caps resident pipelines (default 4),
-/// FZMOD_SERVE_WARM pre-constructs that many at pool creation (default 1,
-/// clamped to the cap).
+/// to the default": FZMOD_SERVE_POOL caps resident pipelines (default 4).
 struct pool_options {
   std::size_t cap = 0;
-  std::size_t warm = 0;
 
   [[nodiscard]] std::size_t resolve_cap() const;
-  [[nodiscard]] std::size_t resolve_warm() const;
 };
 
 /// Process-wide count of leases that outlived their pool (a served
@@ -73,8 +64,8 @@ template <class T>
 class pipeline_pool {
  public:
   /// Construct with the pipeline configuration every pooled instance
-  /// shares. Resolves module names eagerly for the warm set, so a bad
-  /// config throws here rather than on first checkout.
+  /// shares. Builds one pipeline eagerly, so a bad config throws here
+  /// rather than on first checkout; the rest are built on demand.
   explicit pipeline_pool(core::pipeline_config cfg, pool_options opt = {});
 
   /// Destruction detects leaked leases (outstanding checkouts) rather
@@ -126,9 +117,10 @@ class pipeline_pool {
   /// with every pipeline checked out.
   [[nodiscard]] std::optional<lease> try_acquire();
 
-  /// Run one synthetic compress+decompress of shape `dims` on every idle
-  /// pipeline, populating its retained scratch and the caching allocator
-  /// so the first real requests already hit warm paths.
+  /// Grow the pool to its cap, then run one synthetic compress+decompress
+  /// of shape `dims` on every idle pipeline, sizing its retained scratch
+  /// so the first real requests already hit warm paths. Pipelines checked
+  /// out meanwhile are left alone.
   void warm_up(dims3 dims);
 
   struct stats_snapshot {
@@ -138,8 +130,6 @@ class pipeline_pool {
     u64 peak_outstanding = 0;
   };
   [[nodiscard]] stats_snapshot stats() const;
-
-  [[nodiscard]] std::size_t capacity() const;
 
   [[nodiscard]] const core::pipeline_config& config() const;
 
@@ -188,7 +178,6 @@ struct response {
   std::vector<f32> data;     ///< decompress result
   f64 queue_ms = 0;          ///< admission -> worker pickup
   f64 exec_ms = 0;           ///< pipeline execution
-  bool batched = false;      ///< served by a coalesced chunked run
   u64 order = 0;             ///< global completion sequence number
 };
 
@@ -197,22 +186,15 @@ struct response {
 /// strict common::env_u64 path — garbage throws, docs/SERVING.md):
 ///   queue_depth  FZMOD_SERVE_QUEUE        default 64
 ///   deadline_ms  FZMOD_SERVE_DEADLINE_MS  default 0 (no deadline)
-///   batch_elems  FZMOD_SERVE_BATCH        default 65536 elements
-///   batch_max    FZMOD_SERVE_BATCH_MAX    default 8 requests (1 disables
-///                                         batching)
 ///   workers      FZMOD_SERVE_WORKERS      default 2
 struct server_options {
   pool_options pool;
   std::size_t queue_depth = 0;
   u64 deadline_ms = 0;
-  std::size_t batch_elems = 0;
-  std::size_t batch_max = 0;
   unsigned workers = 0;
 
   [[nodiscard]] std::size_t resolve_queue_depth() const;
   [[nodiscard]] u64 resolve_deadline_ms() const;
-  [[nodiscard]] std::size_t resolve_batch_elems() const;
-  [[nodiscard]] std::size_t resolve_batch_max() const;
   [[nodiscard]] unsigned resolve_workers() const;
 };
 
@@ -241,15 +223,8 @@ class server {
   /// workers. Idempotent; the destructor calls it.
   void stop();
 
-  /// Deterministic pre-warm for requests of shape `d`: grows the pool to
-  /// its cap and runs a synthetic compress+decompress on every pipeline,
-  /// then — with the whole pool still checked out — replicates the
-  /// worst-case coalesced-batch load (`workers` concurrent chunked runs
-  /// of `batch_max` stacked requests). After this, the caching allocator
-  /// holds at least the peak block demand any admissible traffic of this
-  /// shape can create, so steady-state serving runs at zero runtime
-  /// allocations per op. Call before taking traffic; requests submitted
-  /// concurrently just queue behind it.
+  /// Pre-warm for requests of shape `d`: `pool().warm_up(d)`. Call before
+  /// taking traffic.
   void warm(dims3 d);
 
   struct stats_snapshot {
@@ -259,8 +234,10 @@ class server {
     u64 rejected_shutdown = 0;
     u64 rejected_bad = 0;
     u64 completed = 0;      ///< requests answered (served or failed)
-    u64 batched = 0;        ///< requests served via a coalesced run
-    u64 batches = 0;        ///< coalesced runs executed
+    /// Always 0: requests are never coalesced. Kept because
+    /// perfbench/serve_mix.cc reads it, and perfbench/ stays frozen so its
+    /// numbers compare across commits.
+    u64 batched = 0;
     u64 spec_requests = 0;  ///< compresses served with a per-request spec
     u64 queue_depth = 0;    ///< currently queued
     u64 peak_depth = 0;

@@ -228,5 +228,25 @@ TEST(Pipeline, TransferAccountingShowsHybridVsDeviceCodec) {
   EXPECT_GE(d2h_default, d.len() * sizeof(u16));
 }
 
+TEST(Pipeline, WarmDefaultRoundTripMakesNoPoolRequests) {
+  // Every buffer a warm FZMod-Default round trip touches is retained
+  // scratch, so requests running at once on separate pipelines never
+  // compete for blocks in the caching pool: the serving layer's zero-
+  // allocation steady state rests on this, not on how well the pool was
+  // pre-filled.
+  const dims3 d{64, 32, 8};
+  const auto v = smooth_field(d, 7);
+  pipeline<f32> p(pipeline_config::preset_default({1e-3, eb_mode::rel}));
+  (void)p.decompress(p.compress(v, d));
+  const auto lookups = [] {
+    const auto s = device::runtime::instance().stats_snapshot();
+    return s.device_pool.hits + s.device_pool.misses + s.host_pool.hits +
+           s.host_pool.misses;
+  };
+  const u64 before = lookups();
+  EXPECT_EQ(p.decompress(p.compress(v, d)).size(), v.size());
+  EXPECT_EQ(lookups(), before);
+}
+
 }  // namespace
 }  // namespace fzmod::core

@@ -1,9 +1,10 @@
 // Tests for the serving layer (fzmod/serve): pipeline pool checkout /
 // checkin under thread stress, leaked-lease detection, admission control
-// (queue-full, deadline expiry, shutdown), small-request batching with
-// byte-identical demux, tenant-fair scheduling, strict FZMOD_SERVE_* env
-// parsing, the busy-guard's exception safety, and the daemon's framed
-// protocol handler. Runs in the TSan CI job.
+// (queue-full, deadline expiry, shutdown), byte identity of co-queued
+// compresses, bounded memory under distinct per-request specs,
+// tenant-fair scheduling, strict FZMOD_SERVE_* env parsing, the
+// busy-guard's exception safety, and the daemon's framed protocol
+// handler. Runs in the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,10 +18,10 @@
 
 #include "fzmod/common/rng.hh"
 #include "fzmod/core/pipeline.hh"
+#include "fzmod/device/runtime.hh"
 #include "fzmod/metrics/metrics.hh"
 #include "fzmod/serve/daemon.hh"
 #include "fzmod/serve/serve.hh"
-#include "fzmod/trace/trace.hh"
 
 namespace fzmod::serve {
 namespace {
@@ -61,7 +62,6 @@ std::vector<f32> blocker_field(dims3& d_out) {
 TEST(ServePool, StressCheckoutRespectsCapAndLeaksNothing) {
   pool_options popt;
   popt.cap = 3;
-  popt.warm = 1;
   pipeline_pool<f32> pool(test_config(), popt);
 
   const dims3 d{64, 32, 1};
@@ -89,7 +89,7 @@ TEST(ServePool, StressCheckoutRespectsCapAndLeaksNothing) {
   EXPECT_LE(st.peak_outstanding, 3u);
   EXPECT_EQ(st.outstanding, 0u);
   // Every acquire either reused an idle pipeline or constructed one; the
-  // single warm pipeline was constructed without an acquire.
+  // pipeline built with the pool was constructed without an acquire.
   EXPECT_EQ((st.created - 1) + st.reuses, u64{kThreads} * kIters);
   EXPECT_EQ(pool_leaked_leases(), leaked_before);
 }
@@ -97,7 +97,6 @@ TEST(ServePool, StressCheckoutRespectsCapAndLeaksNothing) {
 TEST(ServePool, TryAcquireReportsExhaustion) {
   pool_options popt;
   popt.cap = 1;
-  popt.warm = 1;
   pipeline_pool<f32> pool(test_config(), popt);
   auto held = pool.acquire();
   EXPECT_FALSE(pool.try_acquire().has_value());
@@ -116,7 +115,6 @@ TEST(ServePool, LeakedLeaseIsDetectedOnceNotTwice) {
   {
     pool_options popt;
     popt.cap = 2;
-    popt.warm = 0;
     pipeline_pool<f32> pool(test_config(), popt);
     escaped = pool.acquire();
   }  // pool destroyed with one lease outstanding
@@ -136,12 +134,26 @@ TEST(ServePool, LeakedLeaseIsDetectedOnceNotTwice) {
 TEST(ServePool, WarmUpPopulatesScratch) {
   pool_options popt;
   popt.cap = 2;
-  popt.warm = 2;
   pipeline_pool<f32> pool(test_config(), popt);
+  EXPECT_EQ(pool.stats().created, 1u);
+  // warm_up grows the pool to its cap and warms every pipeline.
   EXPECT_NO_THROW(pool.warm_up(dims3{64, 64, 4}));
   const auto st = pool.stats();
   EXPECT_EQ(st.created, 2u);
   EXPECT_EQ(st.outstanding, 0u);
+}
+
+TEST(ServePool, FailedWarmUpKeepsThePoolUsable) {
+  // The log preprocessor rejects the warm-up field's negative values.
+  core::pipeline_config cfg = test_config();
+  cfg.preprocessor = core::preprocess_log;
+  pool_options popt;
+  popt.cap = 1;
+  pipeline_pool<f32> pool(cfg, popt);
+  EXPECT_THROW(pool.warm_up(dims3{64, 64, 4}), error);
+  // The pipeline went back to the pool: a checkout does not block.
+  EXPECT_TRUE(pool.try_acquire().has_value());
+  EXPECT_EQ(pool.stats().created, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -257,7 +269,6 @@ TEST(ServeServer, QueueFullRejectsWithReason) {
     server_options sopt;
     sopt.workers = 1;
     sopt.queue_depth = 3;
-    sopt.batch_max = 1;  // no coalescing: the queue drains one at a time
     server srv(test_config(), sopt);
 
     auto blocker = occupy_worker(srv, bf, bd);
@@ -293,7 +304,6 @@ TEST(ServeServer, DeadlineExpiresInQueue) {
     server_options sopt;
     sopt.workers = 1;
     sopt.queue_depth = 8;
-    sopt.batch_max = 1;
     server srv(test_config(), sopt);
 
     auto blocker = occupy_worker(srv, bf, bd);
@@ -374,58 +384,65 @@ TEST(ServeServer, PerRequestSpecOverridesBoundPipeline) {
   EXPECT_EQ(srv.stats().spec_requests, 1u);  // rejected specs don't count
 }
 
-// ---------------------------------------------------------------------------
-// Batching
+TEST(ServeServer, DistinctSpecsDoNotGrowDeviceMemory) {
+  server_options sopt;
+  sopt.workers = 1;
+  server srv(test_config(), sopt);
+  const dims3 d{64, 64, 12};
+  const auto field = smooth_field(d);
+  // Every radius makes a distinct canonical spec; a server that kept a
+  // pipeline per spec would hold one more set of scratch per request.
+  const auto serve_radii = [&](int from, int to) {
+    for (int radius = from; radius < to; ++radius) {
+      request c;
+      c.kind = request::op::compress;
+      c.data = field;
+      c.dims = d;
+      c.spec = "lorenzo(radius=" + std::to_string(radius) + ")+huffman";
+      const response r = srv.execute(std::move(c));
+      EXPECT_TRUE(r.ok) << r.error;
+    }
+  };
+  auto& rt = device::runtime::instance();
+  serve_radii(100, 108);
+  const u64 after_8 = rt.stats_snapshot().device_bytes_in_use;
+  serve_radii(108, 172);
+  const u64 after_72 = rt.stats_snapshot().device_bytes_in_use;
+  EXPECT_LE(after_72, after_8);
+  EXPECT_EQ(srv.stats().spec_requests, 72u);
+}
 
-TEST(ServeServer, BatchDemuxIsByteIdenticalToIndividualRuns) {
+// ---------------------------------------------------------------------------
+// Co-queued requests
+
+TEST(ServeServer, CoQueuedCompressesAreByteIdenticalToIndividualRuns) {
   dims3 bd;
   const auto bf = blocker_field(bd);
-  const dims3 d{50, 20, 4};  // 4000 elems, well under batch_elems
+  const dims3 d{50, 20, 4};
   std::vector<std::vector<f32>> fields;
   for (int i = 0; i < 4; ++i) {
     fields.push_back(smooth_field(d, 100 + static_cast<u64>(i)));
   }
   core::pipeline<f32> reference(test_config());
-  // Runs traced: the coalesced run's serve/batch span must be recorded
-  // before any promise is fulfilled, so it survives tracing being turned
-  // off the moment the last future resolves.
-  struct trace_off_at_exit {
-    ~trace_off_at_exit() {
-      trace::set_enabled(false);
-      trace::clear();
-    }
-  } trace_guard;
 
-  bool coalesced = false;
-  for (int a = 0; a < kPremiseAttempts && !coalesced; ++a) {
-    trace::clear();
-    trace::set_enabled(true);
+  bool coqueued = false;
+  for (int a = 0; a < kPremiseAttempts && !coqueued; ++a) {
     server_options sopt;
     sopt.workers = 1;
     sopt.queue_depth = 32;
-    sopt.batch_max = 8;
-    sopt.batch_elems = 1 << 16;
     server srv(test_config(), sopt);
 
     auto blocker = occupy_worker(srv, bf, bd);
-    // Four same-shaped small requests queue behind the blocker and must be
-    // served as ONE coalesced chunked run.
+    // Four same-shaped small requests queue behind the blocker.
     std::vector<std::future<response>> futs;
     for (int i = 0; i < 4; ++i) {
       futs.push_back(submit_compress(srv, fields[i], d, "t"));
     }
     EXPECT_TRUE(blocker.get().ok);
 
-    std::vector<response> resps;
-    for (auto& f : futs) resps.push_back(f.get());
-    trace::set_enabled(false);
-    for (std::size_t i = 0; i < resps.size(); ++i) {
-      const response& r = resps[i];
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      const response r = futs[i].get();
       ASSERT_TRUE(r.ok) << r.error;
-      // Byte identity holds whether or not coalescing happened: chunk k of
-      // the coalesced container IS request k's standalone archive (rel
-      // bounds resolve against the chunk's own range, which is exactly the
-      // request's data), and an uncoalesced serve is the standalone run.
       const auto individual =
           reference.compress(std::span<const f32>(fields[i]), d);
       ASSERT_EQ(r.archive.size(), individual.size());
@@ -433,33 +450,17 @@ TEST(ServeServer, BatchDemuxIsByteIdenticalToIndividualRuns) {
                                individual.size()));
       expect_within_bound(fields[i], reference.decompress(r.archive), 1e-4);
     }
-    // peak_depth >= 4 proves all four were co-queued before the first
-    // gather (the single worker removes nothing mid-load), so the server
-    // MUST have served them as one batch — assert it hard. Below 4 the
-    // blocker retired mid-load: premise void, retry.
-    const auto st = srv.stats();
-    if (st.peak_depth >= 4) {
-      coalesced = true;
-      for (const auto& r : resps) EXPECT_TRUE(r.batched);
-      EXPECT_EQ(st.batched, 4u);
-      EXPECT_EQ(st.batches, 1u);
-      std::size_t batch_spans = 0;
-      for (const trace::event& e : trace::snapshot()) {
-        if (e.k == trace::kind::span && std::string_view(e.cat) == "serve" &&
-            std::string_view(e.name) == "batch") {
-          ++batch_spans;
-          EXPECT_EQ(e.value, 4.0);
-        }
-      }
-      EXPECT_EQ(batch_spans, 1u);
-    }
+    // peak_depth >= 4 proves all four were co-queued (the single worker
+    // removes nothing mid-load). Below 4 the blocker retired mid-load:
+    // premise void, retry.
+    coqueued = srv.stats().peak_depth >= 4;
   }
-  ASSERT_TRUE(coalesced)
+  ASSERT_TRUE(coqueued)
       << "four requests were never co-queued across " << kPremiseAttempts
       << " attempts";
 }
 
-TEST(ServeServer, BadRequestInBatchFailsOnlyItself) {
+TEST(ServeServer, CoQueuedBadRequestFailsOnlyItself) {
   dims3 bd;
   const auto bf = blocker_field(bd);
   const dims3 d{50, 20, 4};
@@ -478,8 +479,6 @@ TEST(ServeServer, BadRequestInBatchFailsOnlyItself) {
     server_options sopt;
     sopt.workers = 1;
     sopt.queue_depth = 32;
-    sopt.batch_max = 8;
-    sopt.batch_elems = 1 << 16;
     server srv(test_config(), sopt);
 
     auto blocker = occupy_worker(srv, bf, bd);
@@ -505,43 +504,12 @@ TEST(ServeServer, BadRequestInBatchFailsOnlyItself) {
       EXPECT_EQ(0, std::memcmp(r.archive.data(), individual.data(),
                                individual.size()));
     }
-    // Co-queued (see BatchDemuxIsByteIdenticalToIndividualRuns): the four
-    // went into one coalesced run, which failed and was served one by one.
-    const auto st = srv.stats();
-    if (st.peak_depth >= 4) {
-      coqueued = true;
-      EXPECT_EQ(st.batches, 0u);
-      EXPECT_EQ(st.batched, 0u);
-    }
+    // Co-queued: see CoQueuedCompressesAreByteIdenticalToIndividualRuns.
+    coqueued = srv.stats().peak_depth >= 4;
   }
   ASSERT_TRUE(coqueued)
       << "four requests were never co-queued across " << kPremiseAttempts
       << " attempts";
-}
-
-TEST(ServeServer, OversizedRequestsAreNotBatched) {
-  server_options sopt;
-  sopt.workers = 1;
-  sopt.queue_depth = 32;
-  sopt.batch_max = 8;
-  sopt.batch_elems = 100;  // tiny threshold: nothing below qualifies
-  server srv(test_config(), sopt);
-
-  dims3 bd;
-  const auto bf = blocker_field(bd);
-  auto blocker = occupy_worker(srv, bf, bd);
-
-  const dims3 d{64, 8, 1};  // 512 elems > batch_elems
-  const auto field = smooth_field(d);
-  std::vector<std::future<response>> futs;
-  for (int i = 0; i < 3; ++i) futs.push_back(submit_compress(srv, field, d));
-  EXPECT_TRUE(blocker.get().ok);
-  for (auto& f : futs) {
-    response r = f.get();
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_FALSE(r.batched);
-  }
-  EXPECT_EQ(srv.stats().batches, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -558,7 +526,6 @@ TEST(ServeServer, RoundRobinAcrossTenants) {
     server_options sopt;
     sopt.workers = 1;
     sopt.queue_depth = 32;
-    sopt.batch_max = 1;  // serve strictly one at a time to observe order
     server srv(test_config(), sopt);
 
     auto blocker = occupy_worker(srv, bf, bd);
@@ -623,28 +590,22 @@ TEST(ServeEnv, GarbageKnobThrowsNamingTheVariable) {
 }
 
 TEST(ServeEnv, EnvKnobsResolveAndClampWhenUnset) {
-  for (const char* v :
-       {"FZMOD_SERVE_POOL", "FZMOD_SERVE_WARM", "FZMOD_SERVE_QUEUE",
-        "FZMOD_SERVE_DEADLINE_MS", "FZMOD_SERVE_BATCH",
-        "FZMOD_SERVE_BATCH_MAX", "FZMOD_SERVE_WORKERS"}) {
+  for (const char* v : {"FZMOD_SERVE_POOL", "FZMOD_SERVE_QUEUE",
+                        "FZMOD_SERVE_DEADLINE_MS", "FZMOD_SERVE_WORKERS"}) {
     unsetenv(v);
   }
   server_options sopt;
   EXPECT_EQ(sopt.resolve_queue_depth(), 64u);
   EXPECT_EQ(sopt.resolve_deadline_ms(), 0u);
-  EXPECT_EQ(sopt.resolve_batch_elems(), 65536u);
-  EXPECT_EQ(sopt.resolve_batch_max(), 8u);
   EXPECT_EQ(sopt.resolve_workers(), 2u);
   EXPECT_EQ(sopt.pool.resolve_cap(), 4u);
-  EXPECT_EQ(sopt.pool.resolve_warm(), 1u);
   // Explicit values win over the environment and clamp.
   setenv("FZMOD_SERVE_WORKERS", "9", 1);
   sopt.workers = 3;
   EXPECT_EQ(sopt.resolve_workers(), 3u);
   unsetenv("FZMOD_SERVE_WORKERS");
-  sopt.pool.warm = 100;
-  sopt.pool.cap = 2;
-  EXPECT_EQ(sopt.pool.resolve_warm(), 2u);  // warm clamps to cap
+  sopt.pool.cap = 1000;
+  EXPECT_EQ(sopt.pool.resolve_cap(), 256u);
 }
 
 // ---------------------------------------------------------------------------

@@ -88,9 +88,7 @@ using namespace fzmod;
                " [--mode rel|abs] [--preset P]\n"
                "                   [--pipeline SPEC]  (per-daemon default;"
                " requests may override)\n"
-               "                   [--pool N] [--warm N] [--queue N]"
-               " [--deadline-ms N]\n"
-               "                   [--batch N] [--batch-max N]"
+               "                   [--pool N] [--queue N] [--deadline-ms N]"
                " [--workers N] [--warm-dims X,Y,Z]\n"
                "                   (daemon mode; protocol in"
                " docs/SERVING.md)\n"
@@ -676,13 +674,10 @@ int cmd_serve(const args& a) {
 
   // CLI flags override the FZMOD_SERVE_* environment (docs/SERVING.md).
   if (a.has("--pool")) opt.server.pool.cap = flag_u64(a, "--pool");
-  if (a.has("--warm")) opt.server.pool.warm = flag_u64(a, "--warm");
   if (a.has("--queue")) opt.server.queue_depth = flag_u64(a, "--queue");
   if (a.has("--deadline-ms")) {
     opt.server.deadline_ms = flag_u64(a, "--deadline-ms");
   }
-  if (a.has("--batch")) opt.server.batch_elems = flag_u64(a, "--batch");
-  if (a.has("--batch-max")) opt.server.batch_max = flag_u64(a, "--batch-max");
   if (a.has("--workers")) opt.server.workers = flag_u64(a, "--workers");
   if (a.has("--warm-dims")) opt.warm_dims = parse_dims(a.get("--warm-dims"));
   return serve::run_daemon(opt);
