@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) of the kernel primitives every
-// pipeline stage is built from: histogram, scan, bitshuffle, Lorenzo,
-// Huffman, the LZ secondary codec. These are the per-stage numbers that
-// explain the end-to-end Figure 1 ordering.
+// pipeline stage is built from: histogram, scan, bitshuffle, Lorenzo, the
+// spline (interpolation) predictor, Huffman, the LZ secondary codec. These
+// are the per-stage numbers that explain the end-to-end Figure 1 ordering.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "fzmod/kernels/histogram.hh"
 #include "fzmod/kernels/scan.hh"
 #include "fzmod/lossless/lz.hh"
+#include "fzmod/predictors/interp.hh"
 #include "fzmod/predictors/lorenzo.hh"
 
 namespace {
@@ -170,6 +171,109 @@ BENCHMARK_CAPTURE(BM_LorenzoCompress, 3d_64x64x12, dims3{64, 64, 12})
 BENCHMARK_CAPTURE(BM_LorenzoCompressReference, 3d_64x64x12,
                   dims3{64, 64, 12})
     ->UseRealTime();
+
+// Spline predictor, production row-tile traversal vs the reference (flat
+// per-target launch, one lock per outlier). Shapes: the four bulk_roundtrip
+// chunk slabs (HACC, CESM, HURR, Nyx at 1 MiB chunks) and one whole HURR
+// field.
+using interp_compress_fn = void (*)(const device::buffer<f32>&, dims3, f64,
+                                    int, predictors::quant_field&,
+                                    predictors::interp_anchors&,
+                                    device::stream&);
+using interp_decompress_fn = void (*)(const predictors::quant_field&,
+                                      const predictors::interp_anchors&,
+                                      device::buffer<f32>&, device::stream&);
+
+device::buffer<f32> interp_input(dims3 d) {
+  // Smooth in every axis plus noise, so codes stay mostly in range with a
+  // sparse outlier tail.
+  rng r(11);
+  device::buffer<f32> dev(d.len(), device::space::device);
+  for (std::size_t z = 0; z < d.z; ++z) {
+    for (std::size_t y = 0; y < d.y; ++y) {
+      for (std::size_t x = 0; x < d.x; ++x) {
+        dev.data()[d.at(x, y, z)] = static_cast<f32>(
+            std::sin(0.013 * static_cast<f64>(x) +
+                     0.7 * std::sin(0.021 * static_cast<f64>(y)) +
+                     0.05 * static_cast<f64>(z)) *
+                50 +
+            0.1 * r.normal());
+      }
+    }
+  }
+  return dev;
+}
+
+void run_interp_compress(benchmark::State& state, dims3 d,
+                         interp_compress_fn compress) {
+  const auto dev = interp_input(d);
+  predictors::quant_field field;
+  predictors::interp_anchors anchors;
+  for (auto _ : state) {
+    device::stream s;
+    compress(dev, d, 2e-3, 512, field, anchors, s);
+    s.sync();
+    benchmark::DoNotOptimize(field.codes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(d.len() * 4));
+}
+
+void run_interp_decompress(benchmark::State& state, dims3 d,
+                           interp_decompress_fn decompress) {
+  const auto dev = interp_input(d);
+  predictors::quant_field field;
+  predictors::interp_anchors anchors;
+  device::buffer<f32> out(d.len(), device::space::device);
+  {
+    device::stream s;
+    predictors::interp_compress_async(dev, d, 2e-3, 512, field, anchors, s);
+    s.sync();
+  }
+  for (auto _ : state) {
+    device::stream s;
+    decompress(field, anchors, out, s);
+    s.sync();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(d.len() * 4));
+}
+
+void BM_InterpCompress(benchmark::State& state, dims3 d) {
+  run_interp_compress(state, d, &predictors::interp_compress_async<f32>);
+}
+
+void BM_InterpCompressReference(benchmark::State& state, dims3 d) {
+  run_interp_compress(state, d,
+                      &predictors::interp_compress_reference_async<f32>);
+}
+
+void BM_InterpDecompress(benchmark::State& state, dims3 d) {
+  run_interp_decompress(state, d, &predictors::interp_decompress_async<f32>);
+}
+
+void BM_InterpDecompressReference(benchmark::State& state, dims3 d) {
+  run_interp_decompress(state, d,
+                        &predictors::interp_decompress_reference_async<f32>);
+}
+
+#define FZMOD_INTERP_BENCH(fn)                                             \
+  BENCHMARK_CAPTURE(fn, 1d_256k, dims3{1u << 18})->UseRealTime();          \
+  BENCHMARK_CAPTURE(fn, 3d_450x225x2, dims3{450, 225, 2})->UseRealTime();  \
+  BENCHMARK_CAPTURE(fn, 3d_250x250x4, dims3{250, 250, 4})->UseRealTime();  \
+  BENCHMARK_CAPTURE(fn, 3d_128x128x16, dims3{128, 128, 16})                \
+      ->UseRealTime();                                                     \
+  BENCHMARK_CAPTURE(fn, 3d_250x250x50, dims3{250, 250, 50})->UseRealTime();
+
+FZMOD_INTERP_BENCH(BM_InterpCompress)
+FZMOD_INTERP_BENCH(BM_InterpCompressReference)
+FZMOD_INTERP_BENCH(BM_InterpDecompress)
+FZMOD_INTERP_BENCH(BM_InterpDecompressReference)
+
+#undef FZMOD_INTERP_BENCH
 
 void BM_HuffmanEncode(benchmark::State& state) {
   const auto codes = make_codes(1 << 20, 4.0);

@@ -392,6 +392,35 @@ TEST(HostileHeader, ZeroAnchorStrideRejected) {
   }
 }
 
+TEST(HostileHeader, ForeignAnchorStrideRejected) {
+  // Forge the stride from 64 to 60: a 129-wide field keeps the same anchor
+  // count (3 x 1), so the geometry check passes, but the traversal only
+  // refines the 64-lattice and would leave points unreconstructed.
+  const dims3 d{129, 32};
+  const auto v = base_field(d);
+  core::pipeline_config cfg;
+  cfg.predictor = core::predictor_spline;
+  cfg.eb = {1e-3, eb_mode::rel};
+  core::pipeline<f32> p(cfg);
+  auto archive = p.compress(v, d);
+
+  constexpr std::size_t outer = sizeof(fmt::outer_header_v2);
+  fmt::inner_header hdr;
+  std::memcpy(&hdr, archive.data() + outer, sizeof(hdr));
+  ASSERT_EQ(hdr.anchor_stride, 64u);
+  ASSERT_EQ(hdr.n_anchors, 3u);
+  hdr.anchor_stride = 60;
+  std::memcpy(archive.data() + outer, &hdr, sizeof(hdr));
+  refresh_digests(archive);
+
+  try {
+    (void)p.decompress(archive);
+    FAIL() << "should have thrown";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::corrupt_archive);
+  }
+}
+
 TEST(HostileHeader, InconsistentAnchorCountRejected) {
   const dims3 d{128, 32};
   const auto v = base_field(d);
