@@ -20,9 +20,15 @@
 //      corruption surfaces as a deterministic status::corrupt_archive.
 //   v3 ("FZM3" chunk container): an outer chunk directory framing whole
 //      v1/v2 archives as independently decodable chunks of one field —
-//      parallel decompression, decompress_range() random access, and
+//      parallel decompression, random access through core::reader, and
 //      streaming compression (core/chunked.hh). Single-chunk compressions
 //      bypass the container entirely and stay byte-identical to v2.
+//
+// Each container (v3, FZMF) is built and parsed here and nowhere else: one
+// header builder, one entry/directory builder, and a parse split into a
+// header step and a directory step, each taking only the bytes it reads
+// plus the container size. Span parses and the seekable reader's streaming
+// opens run the same steps, so they accept and reject the same bytes.
 #pragma once
 
 #include <algorithm>
@@ -539,6 +545,25 @@ static_assert(sizeof(chunk_header_v3) == 56 && sizeof(chunk_dir_entry) == 40,
   return common::xxhash64(&hdr, sizeof(hdr), 0);
 }
 
+/// The one v3 header builder: the chunk scheduler writes it, and the
+/// resume salvage compares the on-disk header against it byte for byte.
+[[nodiscard]] inline chunk_header_v3 make_chunk_header(dtype type,
+                                                       dims3 dims,
+                                                       u64 nchunks,
+                                                       u64 chunk_elems) {
+  chunk_header_v3 h{};
+  h.magic = chunk_magic_v3;
+  h.version = chunk_container_version;
+  h.type = static_cast<u8>(type);
+  h.dims[0] = dims.x;
+  h.dims[1] = dims.y;
+  h.dims[2] = dims.z;
+  h.nchunks = nchunks;
+  h.chunk_elems = chunk_elems;
+  h.digest_header = chunk_header_digest(h);
+  return h;
+}
+
 /// Cheap dispatch: does this blob carry the v3 container magic? v1/v2
 /// archives (and garbage) answer false and flow to the plain parsers.
 [[nodiscard]] inline bool is_chunk_container(std::span<const u8> archive) {
@@ -548,12 +573,52 @@ static_assert(sizeof(chunk_header_v3) == 56 && sizeof(chunk_dir_entry) == 40,
   return magic == chunk_magic_v3;
 }
 
+// --- trailing directories (v3 and FZMF) ------------------------------------
+//
+// Both containers end in `entries | u64 dir_digest` with
+// dir_digest = chunked_hash(entries); one builder and one reader serve both.
+
+/// Serialize a directory followed by its digest.
+template <class Entry>
+[[nodiscard]] inline std::vector<u8> build_directory(
+    const std::vector<Entry>& entries) {
+  const std::size_t dir_bytes = entries.size() * sizeof(Entry);
+  std::vector<u8> out(dir_bytes + sizeof(u64));
+  std::memcpy(out.data(), entries.data(), dir_bytes);
+  const u64 digest =
+      kernels::chunked_hash(std::span<const u8>(out.data(), dir_bytes));
+  std::memcpy(out.data() + dir_bytes, &digest, sizeof(digest));
+  return out;
+}
+
+/// Read `count` entries from a directory tail (the entries, then the u64
+/// digest) into `out`. Returns whether the digest matched; a mismatch
+/// throws instead when `check_digest` is set.
+template <class Entry>
+inline bool read_directory(std::span<const u8> tail, u64 count,
+                           std::vector<Entry>& out, bool check_digest,
+                           const char* container) {
+  const std::size_t dir_bytes = static_cast<std::size_t>(count) *
+                                sizeof(Entry);
+  FZMOD_REQUIRE(tail.size() == dir_bytes + sizeof(u64),
+                status::corrupt_archive,
+                std::string(container) + ": directory truncated");
+  u64 stored = 0;
+  std::memcpy(&stored, tail.data() + dir_bytes, sizeof(stored));
+  const bool ok = kernels::chunked_hash(tail.first(dir_bytes)) == stored;
+  FZMOD_REQUIRE(ok || !check_digest, status::corrupt_archive,
+                std::string(container) + ": directory digest mismatch");
+  out.resize(static_cast<std::size_t>(count));
+  std::memcpy(out.data(), tail.data(), dir_bytes);
+  return ok;
+}
+
 /// Validate that a chunk directory tiles the field contiguously in raw
 /// order and tiles a `payload_bytes`-sized payload contiguously — any
-/// gap, overlap, or overrun is corruption. Factored out of
-/// parse_chunk_container so a directory imported from a `.fzx` sidecar
-/// index gets the exact same structural screening: a forged index entry
-/// can never produce an out-of-bounds chunk_archive() slice.
+/// gap, overlap, or overrun is corruption. A directory imported from a
+/// `.fzx` sidecar index gets the same screening as a scanned one, so a
+/// forged index entry can never produce an out-of-bounds chunk_archive()
+/// slice.
 inline void validate_chunk_directory(std::span<const chunk_dir_entry> entries,
                                      u64 field_len, u64 payload_bytes) {
   u64 raw_at = 0, arch_at = 0;
@@ -574,64 +639,80 @@ inline void validate_chunk_directory(std::span<const chunk_dir_entry> entries,
                 "chunk container: directory leaves a tail uncovered");
 }
 
-/// Parsed container: header, directory, and the payload region the
-/// directory's archive offsets index into.
+/// Parsed container: header, directory geometry, directory, and (for span
+/// parses) the payload region the directory's archive offsets index into.
 struct chunk_container_view {
   chunk_header_v3 hdr{};
   dims3 dims;
-  std::span<const u8> payload;  // between header and directory
+  u64 payload_bytes = 0;  // between header and directory
+  u64 tail_bytes = 0;     // directory entries + u64 directory digest
+  /// Header self-digest and directory digest both matched. Always
+  /// computed; a mismatch throws only when the parse checks digests.
+  bool digests_ok = true;
+  std::span<const u8> payload;  // set by parse_chunk_container only
   std::vector<chunk_dir_entry> entries;
 };
 
-/// Parse + structurally validate a v3 container. The directory must tile
-/// the field contiguously in raw order and the archive extents must tile
-/// the payload contiguously — any gap, overlap, or overrun is corruption.
-/// Digest checks (header self-digest, directory digest) run when
-/// `check_digests` is set (pass `verify_enabled()`; verify_chunked passes
-/// false and reports mismatches instead); per-chunk archive digests are
-/// the decode driver's job so it can report *which* chunk is damaged.
-[[nodiscard]] inline chunk_container_view parse_chunk_container(
-    std::span<const u8> archive, bool check_digests) {
-  FZMOD_REQUIRE(archive.size() >= sizeof(chunk_header_v3),
+/// Header step of the v3 parse. Reads the 56-byte header from `head` (the
+/// container's leading bytes) and checks it against `container_bytes`:
+/// magic, version, padding, self-digest (throws on mismatch when
+/// `check_digests`), dtype, dims, chunk count, and room for the directory.
+/// Fills everything but the entries and the payload span.
+[[nodiscard]] inline chunk_container_view parse_chunk_header(
+    std::span<const u8> head, u64 container_bytes, bool check_digests) {
+  FZMOD_REQUIRE(container_bytes >= sizeof(chunk_header_v3) &&
+                    head.size() >= sizeof(chunk_header_v3),
                 status::corrupt_archive, "chunk container too small");
   chunk_container_view cv;
-  std::memcpy(&cv.hdr, archive.data(), sizeof(cv.hdr));
+  std::memcpy(&cv.hdr, head.data(), sizeof(cv.hdr));
   FZMOD_REQUIRE(cv.hdr.magic == chunk_magic_v3 &&
                     cv.hdr.version == chunk_container_version,
                 status::corrupt_archive, "bad chunk container header");
   FZMOD_REQUIRE(cv.hdr.pad == 0, status::corrupt_archive,
                 "chunk container: nonzero padding");
-  if (check_digests) {
-    FZMOD_REQUIRE(chunk_header_digest(cv.hdr) == cv.hdr.digest_header,
-                  status::corrupt_archive,
-                  "chunk container: header digest mismatch");
-  }
+  cv.digests_ok = chunk_header_digest(cv.hdr) == cv.hdr.digest_header;
+  FZMOD_REQUIRE(cv.digests_ok || !check_digests, status::corrupt_archive,
+                "chunk container: header digest mismatch");
+  FZMOD_REQUIRE(cv.hdr.type <= static_cast<u8>(dtype::f64),
+                status::corrupt_archive, "chunk container: unknown dtype");
   cv.dims = dims3{cv.hdr.dims[0], cv.hdr.dims[1], cv.hdr.dims[2]};
   FZMOD_REQUIRE(!cv.dims.len_invalid(), status::corrupt_archive,
                 "chunk container dims out of supported range");
-  const u64 n = cv.dims.len();
-  FZMOD_REQUIRE(cv.hdr.nchunks >= 1 && cv.hdr.nchunks <= n,
+  FZMOD_REQUIRE(cv.hdr.nchunks >= 1 && cv.hdr.nchunks <= cv.dims.len(),
                 status::corrupt_archive,
                 "chunk container: implausible chunk count");
-  const u64 dir_bytes = cv.hdr.nchunks * sizeof(chunk_dir_entry);
-  FZMOD_REQUIRE(
-      archive.size() >= sizeof(chunk_header_v3) + dir_bytes + sizeof(u64),
-      status::corrupt_archive, "chunk container: directory truncated");
-  const std::size_t dir_at = archive.size() - sizeof(u64) - dir_bytes;
-  cv.payload = archive.subspan(sizeof(chunk_header_v3),
-                               dir_at - sizeof(chunk_header_v3));
-  const std::span<const u8> dir = archive.subspan(dir_at, dir_bytes);
-  if (check_digests) {
-    u64 dir_digest;
-    std::memcpy(&dir_digest, archive.data() + dir_at + dir_bytes,
-                sizeof(dir_digest));
-    FZMOD_REQUIRE(kernels::chunked_hash(dir) == dir_digest,
-                  status::corrupt_archive,
-                  "chunk container: directory digest mismatch");
-  }
-  cv.entries.resize(cv.hdr.nchunks);
-  std::memcpy(cv.entries.data(), dir.data(), dir_bytes);
-  validate_chunk_directory(cv.entries, n, cv.payload.size());
+  cv.tail_bytes = cv.hdr.nchunks * sizeof(chunk_dir_entry) + sizeof(u64);
+  FZMOD_REQUIRE(container_bytes - sizeof(chunk_header_v3) >= cv.tail_bytes,
+                status::corrupt_archive,
+                "chunk container: directory truncated");
+  cv.payload_bytes = container_bytes - sizeof(chunk_header_v3) -
+                     cv.tail_bytes;
+  return cv;
+}
+
+/// Directory step of the v3 parse: `tail` is the container's last
+/// `cv.tail_bytes` bytes. Reads the entries, compares the directory digest
+/// (throws on mismatch when `check_digests`), and requires the directory
+/// to tile the field and the payload. Per-chunk archive digests are the
+/// decode driver's job, so it can report *which* chunk is damaged.
+inline void parse_chunk_directory(chunk_container_view& cv,
+                                  std::span<const u8> tail,
+                                  bool check_digests) {
+  const bool dir_ok = read_directory(tail, cv.hdr.nchunks, cv.entries,
+                                     check_digests, "chunk container");
+  cv.digests_ok = cv.digests_ok && dir_ok;
+  validate_chunk_directory(cv.entries, cv.dims.len(), cv.payload_bytes);
+}
+
+/// Both steps over a memory-resident container. Pass `verify_enabled()`
+/// as `check_digests`; verify_chunked passes false and reports
+/// `digests_ok` instead.
+[[nodiscard]] inline chunk_container_view parse_chunk_container(
+    std::span<const u8> archive, bool check_digests) {
+  chunk_container_view cv =
+      parse_chunk_header(archive, archive.size(), check_digests);
+  parse_chunk_directory(cv, archive.last(cv.tail_bytes), check_digests);
+  cv.payload = archive.subspan(sizeof(chunk_header_v3), cv.payload_bytes);
   return cv;
 }
 
@@ -646,12 +727,13 @@ struct chunk_container_view {
   return cv.payload.subspan(e.archive_offset, e.archive_bytes);
 }
 
-/// Per-chunk archive digest check (gated like every digest comparison).
-/// Returns false instead of throwing so callers can name the chunk.
-[[nodiscard]] inline bool chunk_digest_ok(const chunk_container_view& cv,
-                                          const chunk_dir_entry& e) {
+/// Per-chunk archive digest check of a chunk's archive bytes (gated like
+/// every digest comparison). Returns false instead of throwing so callers
+/// can name the chunk.
+[[nodiscard]] inline bool chunk_digest_ok(const chunk_dir_entry& e,
+                                          std::span<const u8> chunk_bytes) {
   if (!verify_enabled()) return true;
-  return kernels::chunked_hash(chunk_archive(cv, e)) == e.digest;
+  return kernels::chunked_hash(chunk_bytes) == e.digest;
 }
 
 // --- .fzx sidecar index ----------------------------------------------------
@@ -763,13 +845,42 @@ struct fzx_view {
   return fv;
 }
 
+/// Pair a parsed sidecar index with the container whose header step
+/// produced `cv`: field identity, exact container size, the same directory
+/// screening a scanned directory gets and, when `check_digest`, the
+/// whole-container digest (the stale-index detector; `container_digest()`
+/// streams the container, so it runs last). Returns the imported
+/// directory.
+template <class DigestFn>
+[[nodiscard]] inline std::vector<chunk_dir_entry> index_directory(
+    const fzx_view& fv, const chunk_container_view& cv, bool check_digest,
+    DigestFn&& container_digest) {
+  FZMOD_REQUIRE(fv.hdr.type == cv.hdr.type &&
+                    fv.hdr.dims[0] == cv.hdr.dims[0] &&
+                    fv.hdr.dims[1] == cv.hdr.dims[1] &&
+                    fv.hdr.dims[2] == cv.hdr.dims[2] &&
+                    fv.hdr.nchunks == cv.hdr.nchunks &&
+                    fv.hdr.chunk_elems == cv.hdr.chunk_elems,
+                status::corrupt_archive,
+                "fzx index: field identity does not match the container");
+  FZMOD_REQUIRE(fv.hdr.container_bytes == sizeof(chunk_header_v3) +
+                                              cv.payload_bytes +
+                                              cv.tail_bytes,
+                status::corrupt_archive,
+                "fzx index: container size mismatch (stale index)");
+  validate_chunk_directory(fv.entries, cv.dims.len(), cv.payload_bytes);
+  FZMOD_REQUIRE(!check_digest || container_digest() == fv.hdr.container_digest,
+                status::corrupt_archive,
+                "fzx index: container digest mismatch (stale index)");
+  return fv.entries;
+}
+
 // --- multi-field container ("FZMF") ----------------------------------------
 //
-// One archive, many named fields: a dataset snapshot written by the
-// streaming layer (core/stream_io.hh). Layout mirrors the v3 container's
-// streaming-friendly design — fixed header first, payload as it is
-// produced, directory at the tail so field archive sizes need not be
-// known up front (docs/FORMAT.md and docs/STREAMING.md are normative):
+// One archive, many named fields: a dataset snapshot. Layout mirrors the
+// v3 container's streaming-friendly design — fixed header first, payload
+// as it is produced, directory at the tail so field archive sizes need not
+// be known up front (docs/FORMAT.md and docs/STREAMING.md are normative):
 //
 //   multi := multi_header | field archives | field directory | u64 dir_digest
 //
@@ -778,9 +889,9 @@ struct fzx_view {
 // field would produce — `select_field()` hands back a span any existing
 // decoder accepts unchanged. Old single-field archives are unaffected:
 // every consumer dispatches on the outer magic first, and "FZMF" is a new
-// magic, not a change to v1/v2/v3. The in-memory `core::snapshot`
-// container (TOC at the front, loads everything) remains for small
-// snapshots; this container is the out-of-core variant.
+// magic, not a change to v1/v2/v3. Two writers share the builders below:
+// `core::snapshot_writer` assembles the container in memory, and
+// `compress_files_stream` (core/stream_io.hh) streams it to a file.
 
 inline constexpr u32 multi_magic = 0x465a4d46;  // "FZMF"
 inline constexpr u16 multi_container_version = 1;
@@ -821,6 +932,53 @@ static_assert(sizeof(multi_header) == 16 && sizeof(field_dir_entry) == 96,
   return common::xxhash64(&hdr, sizeof(hdr), 0);
 }
 
+/// The one FZMF header builder, shared by both writers.
+[[nodiscard]] inline multi_header make_multi_header(std::size_t nfields) {
+  FZMOD_REQUIRE(nfields >= 1 && nfields <= multi_max_fields,
+                status::invalid_argument,
+                "multi-field container: need 1.." +
+                    std::to_string(multi_max_fields) + " fields");
+  multi_header h{};
+  h.magic = multi_magic;
+  h.version = multi_container_version;
+  h.nfields = static_cast<u16>(nfields);
+  h.digest_header = multi_header_digest(h);
+  return h;
+}
+
+/// The one FZMF entry builder, shared by both writers, which call it
+/// before compressing the field. It enforces the field-name rule — 1..39
+/// bytes, no NUL (parsers read names as C strings, so an embedded NUL
+/// would cut the name short and could collide with another field), unique
+/// among `prior` — and the field-count ceiling, throwing invalid_argument.
+/// The writer fills archive_offset, archive_bytes and digest once the
+/// field's archive exists.
+[[nodiscard]] inline field_dir_entry make_field_entry(
+    std::string_view name, dtype type, dims3 dims,
+    std::span<const field_dir_entry> prior) {
+  FZMOD_REQUIRE(!name.empty() && name.size() < multi_name_bytes &&
+                    name.find('\0') == std::string_view::npos,
+                status::invalid_argument,
+                "multi-field container: field names must be 1.." +
+                    std::to_string(multi_name_bytes - 1) +
+                    " bytes with no NUL");
+  FZMOD_REQUIRE(prior.size() < multi_max_fields, status::invalid_argument,
+                "multi-field container: more than " +
+                    std::to_string(multi_max_fields) + " fields");
+  for (const field_dir_entry& e : prior) {
+    FZMOD_REQUIRE(std::string_view(e.name) != name, status::invalid_argument,
+                  "multi-field container: duplicate field name '" +
+                      std::string(name) + "'");
+  }
+  field_dir_entry e{};
+  std::memcpy(e.name, name.data(), name.size());
+  e.type = static_cast<u8>(type);
+  e.dims[0] = dims.x;
+  e.dims[1] = dims.y;
+  e.dims[2] = dims.z;
+  return e;
+}
+
 /// Cheap dispatch: does this blob carry the multi-field magic? Single-
 /// field archives (v1/v2/v3) and garbage answer false.
 [[nodiscard]] inline bool is_multi_container(std::span<const u8> archive) {
@@ -830,10 +988,9 @@ static_assert(sizeof(multi_header) == 16 && sizeof(field_dir_entry) == 96,
   return magic == multi_magic;
 }
 
-/// Validate an out-of-band field directory against a payload size: names
-/// well-formed and unique, dims/dtype plausible, archive extents tiling
-/// the payload contiguously. Shared by the span parse and the streaming
-/// reader open, so a forged directory can never slice out of bounds.
+/// Validate a field directory against a payload size: names well-formed
+/// and unique, dims/dtype plausible, archive extents tiling the payload
+/// contiguously, so a forged directory can never slice out of bounds.
 inline void validate_field_directory(
     std::span<const field_dir_entry> entries, u64 payload_bytes) {
   u64 arch_at = 0;
@@ -870,57 +1027,67 @@ inline void validate_field_directory(
                 "multi container: directory leaves a tail uncovered");
 }
 
-/// Parsed multi-field container: header, directory, and the payload
-/// region the directory's archive offsets index into.
+/// Parsed multi-field container: header, directory geometry, directory,
+/// and (for span parses) the payload region the directory's archive
+/// offsets index into.
 struct multi_view {
   multi_header hdr{};
-  std::span<const u8> payload;  // between header and directory
+  u64 payload_bytes = 0;  // between header and directory
+  u64 tail_bytes = 0;     // directory entries + u64 directory digest
+  std::span<const u8> payload;  // set by parse_multi_container only
   std::vector<field_dir_entry> entries;
 };
 
-/// Parse + structurally validate a multi-field container. Digest checks
-/// (header self-digest, directory digest) are gated on `check_digests`;
-/// per-field archive digests are checked by `select_field` so the caller
-/// learns *which* field is damaged.
-[[nodiscard]] inline multi_view parse_multi_container(
-    std::span<const u8> archive, bool check_digests) {
-  FZMOD_REQUIRE(archive.size() >= sizeof(multi_header),
+/// Header step of the FZMF parse: reads the 16-byte header from `head`
+/// (the container's leading bytes) and checks it against
+/// `container_bytes` — magic, version, self-digest (throws on mismatch
+/// when `check_digests`), field count, and room for the directory.
+[[nodiscard]] inline multi_view parse_multi_header(std::span<const u8> head,
+                                                   u64 container_bytes,
+                                                   bool check_digests) {
+  FZMOD_REQUIRE(container_bytes >= sizeof(multi_header) &&
+                    head.size() >= sizeof(multi_header),
                 status::corrupt_archive, "multi container too small");
   multi_view mv;
-  std::memcpy(&mv.hdr, archive.data(), sizeof(mv.hdr));
+  std::memcpy(&mv.hdr, head.data(), sizeof(mv.hdr));
   FZMOD_REQUIRE(mv.hdr.magic == multi_magic &&
                     mv.hdr.version == multi_container_version,
                 status::corrupt_archive, "bad multi container header");
-  if (check_digests) {
-    FZMOD_REQUIRE(multi_header_digest(mv.hdr) == mv.hdr.digest_header,
-                  status::corrupt_archive,
-                  "multi container: header digest mismatch");
-  }
+  FZMOD_REQUIRE(!check_digests ||
+                    multi_header_digest(mv.hdr) == mv.hdr.digest_header,
+                status::corrupt_archive,
+                "multi container: header digest mismatch");
   FZMOD_REQUIRE(mv.hdr.nfields >= 1 && mv.hdr.nfields <= multi_max_fields,
                 status::corrupt_archive,
                 "multi container: implausible field count");
-  const u64 dir_bytes =
-      static_cast<u64>(mv.hdr.nfields) * sizeof(field_dir_entry);
-  FZMOD_REQUIRE(
-      archive.size() >= sizeof(multi_header) + dir_bytes + sizeof(u64),
-      status::corrupt_archive, "multi container: directory truncated");
-  const std::size_t dir_at = archive.size() - sizeof(u64) -
-                             static_cast<std::size_t>(dir_bytes);
-  mv.payload = archive.subspan(sizeof(multi_header),
-                               dir_at - sizeof(multi_header));
-  const std::span<const u8> dir =
-      archive.subspan(dir_at, static_cast<std::size_t>(dir_bytes));
-  if (check_digests) {
-    u64 dir_digest;
-    std::memcpy(&dir_digest, archive.data() + dir_at + dir_bytes,
-                sizeof(dir_digest));
-    FZMOD_REQUIRE(kernels::chunked_hash(dir) == dir_digest,
-                  status::corrupt_archive,
-                  "multi container: directory digest mismatch");
-  }
-  mv.entries.resize(mv.hdr.nfields);
-  std::memcpy(mv.entries.data(), dir.data(), dir.size());
-  validate_field_directory(mv.entries, mv.payload.size());
+  mv.tail_bytes =
+      static_cast<u64>(mv.hdr.nfields) * sizeof(field_dir_entry) +
+      sizeof(u64);
+  FZMOD_REQUIRE(container_bytes - sizeof(multi_header) >= mv.tail_bytes,
+                status::corrupt_archive,
+                "multi container: directory truncated");
+  mv.payload_bytes = container_bytes - sizeof(multi_header) - mv.tail_bytes;
+  return mv;
+}
+
+/// Directory step of the FZMF parse: `tail` is the container's last
+/// `mv.tail_bytes` bytes. Reads the entries, compares the directory digest
+/// (throws on mismatch when `check_digests`), and screens the entries with
+/// validate_field_directory. Per-field archive digests are checked on
+/// selection, so the caller learns *which* field is damaged.
+inline void parse_multi_directory(multi_view& mv, std::span<const u8> tail,
+                                  bool check_digests) {
+  read_directory(tail, mv.hdr.nfields, mv.entries, check_digests,
+                 "multi container");
+  validate_field_directory(mv.entries, mv.payload_bytes);
+}
+
+/// Both steps over a memory-resident container.
+[[nodiscard]] inline multi_view parse_multi_container(
+    std::span<const u8> archive, bool check_digests) {
+  multi_view mv = parse_multi_header(archive, archive.size(), check_digests);
+  parse_multi_directory(mv, archive.last(mv.tail_bytes), check_digests);
+  mv.payload = archive.subspan(sizeof(multi_header), mv.payload_bytes);
   return mv;
 }
 
@@ -955,46 +1122,66 @@ struct multi_view {
   return nullptr;
 }
 
-/// Resolve a (possibly multi-field) archive span to one field's archive
-/// bytes, which any existing v1/v2/v3 decoder accepts unchanged. The
-/// returned span aliases `archive`. Selection rules: a single-field
-/// archive requires an empty name (naming a field there is a caller
-/// error); a multi-field container with exactly one field tolerates an
-/// empty name; otherwise the name must match and errors list what is
-/// available. The field's archive digest is checked here (gated like
-/// every digest) so damage is pinned to the named field.
-[[nodiscard]] inline std::span<const u8> select_field(
-    std::span<const u8> archive, std::string_view name) {
-  if (!is_multi_container(archive)) {
-    FZMOD_REQUIRE(name.empty(), status::invalid_argument,
-                  "field selection: archive is single-field; --field only "
-                  "applies to multi-field containers");
-    return archive;
-  }
-  const multi_view mv = parse_multi_container(archive);
-  const field_dir_entry* e = nullptr;
+// The field-selection rule, shared by select_field and
+// reader::open_field: a single-field archive requires an empty name
+// (naming a field there is a caller error); a multi-field container with
+// exactly one field tolerates an empty name; otherwise the name must match
+// and errors list what is available. The chosen field's archive digest is
+// then checked (gated like every digest) so damage is pinned to the field.
+
+inline void require_no_field_name(std::string_view name) {
+  FZMOD_REQUIRE(name.empty(), status::invalid_argument,
+                "field selection: archive is single-field; --field only "
+                "applies to multi-field containers");
+}
+
+[[nodiscard]] inline const field_dir_entry& pick_field(
+    const multi_view& mv, std::string_view name) {
   if (name.empty()) {
     FZMOD_REQUIRE(mv.entries.size() == 1, status::invalid_argument,
                   "multi-field archive holds " +
                       std::to_string(mv.entries.size()) +
                       " fields; pick one with --field (available: " +
                       field_name_list(mv) + ")");
-    e = &mv.entries[0];
-  } else {
-    e = find_field(mv, name);
-    FZMOD_REQUIRE(e != nullptr, status::invalid_argument,
-                  "multi-field archive: no field named '" +
-                      std::string(name) + "' (available: " +
-                      field_name_list(mv) + ")");
+    return mv.entries[0];
   }
-  const std::span<const u8> fa = field_archive(mv, *e);
-  if (verify_enabled()) {
-    FZMOD_REQUIRE(kernels::chunked_hash(fa) == e->digest,
-                  status::corrupt_archive,
-                  "multi container: field '" + std::string(e->name) +
-                      "' archive digest mismatch");
-  }
+  const field_dir_entry* e = find_field(mv, name);
+  FZMOD_REQUIRE(e != nullptr, status::invalid_argument,
+                "multi-field archive: no field named '" + std::string(name) +
+                    "' (available: " + field_name_list(mv) + ")");
+  return *e;
+}
+
+/// `digest()` hashes the field's archive bytes; it only runs when
+/// verification is on.
+template <class DigestFn>
+inline void verify_field_digest(const field_dir_entry& e, DigestFn&& digest) {
+  if (!verify_enabled()) return;
+  FZMOD_REQUIRE(digest() == e.digest, status::corrupt_archive,
+                "multi container: field '" + std::string(e.name) +
+                    "' archive digest mismatch");
+}
+
+/// One field's archive bytes within a span-parsed container, after the
+/// field's digest check.
+[[nodiscard]] inline std::span<const u8> checked_field_archive(
+    const multi_view& mv, const field_dir_entry& e) {
+  const std::span<const u8> fa = field_archive(mv, e);
+  verify_field_digest(e, [&] { return kernels::chunked_hash(fa); });
   return fa;
+}
+
+/// Resolve a (possibly multi-field) archive span to one field's archive
+/// bytes, which any existing v1/v2/v3 decoder accepts unchanged. The
+/// returned span aliases `archive`.
+[[nodiscard]] inline std::span<const u8> select_field(
+    std::span<const u8> archive, std::string_view name) {
+  if (!is_multi_container(archive)) {
+    require_no_field_name(name);
+    return archive;
+  }
+  const multi_view mv = parse_multi_container(archive);
+  return checked_field_archive(mv, pick_field(mv, name));
 }
 
 // --- resume journal ("FZR1") ------------------------------------------------

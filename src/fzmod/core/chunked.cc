@@ -29,22 +29,13 @@ dtype dtype_of<f64>() {
   return dtype::f64;
 }
 
-void append_bytes(std::vector<u8>& out, const void* p, std::size_t n) {
-  const u8* b = static_cast<const u8*>(p);
-  out.insert(out.end(), b, b + n);
-}
-
-/// Decode a set of container chunks across up to `jobs` worker threads,
-/// each with its own stream + pipeline (per-slot scratch, no sharing).
-/// `emit(entry, decoded_device_buffer, stream)` runs on the worker thread
-/// after the chunk decodes; it typically enqueues a D2H copy of some or
-/// all of the chunk. The worker syncs the stream after emit.
-template <class T, class Emit>
+/// Decode every chunk of a container into `out` (the full field) across
+/// up to `jobs` worker threads, each with its own stream + pipeline
+/// (per-slot scratch, no sharing).
+template <class T>
 void decode_chunks(const fmt::chunk_container_view& cv,
-                   std::span<const fmt::chunk_dir_entry> entries,
-                   const pipeline_config& cfg, unsigned jobs, Emit emit) {
-  const std::size_t total = entries.size();
-  if (total == 0) return;
+                   const pipeline_config& cfg, unsigned jobs, T* out) {
+  const std::size_t total = cv.entries.size();
   const unsigned nworkers =
       static_cast<unsigned>(std::min<std::size_t>(std::max(1u, jobs), total));
   trace::counter("chunked.slots", static_cast<f64>(nworkers));
@@ -65,7 +56,7 @@ void decode_chunks(const fmt::chunk_container_view& cv,
     for (;;) {
       const u64 i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= total || failed.load(std::memory_order_relaxed)) break;
-      const fmt::chunk_dir_entry& e = entries[i];
+      const fmt::chunk_dir_entry& e = cv.entries[i];
       const u64 t0 = trace::enabled() ? trace::now_ns() : 0;
       if (t0) {
         trace::counter("chunked.inflight",
@@ -73,12 +64,15 @@ void decode_chunks(const fmt::chunk_container_view& cv,
                                                 1, std::memory_order_relaxed)));
       }
       try {
-        FZMOD_REQUIRE(fmt::chunk_digest_ok(cv, e), status::corrupt_archive,
+        const std::span<const u8> bytes = fmt::chunk_archive(cv, e);
+        FZMOD_REQUIRE(fmt::chunk_digest_ok(e, bytes), status::corrupt_archive,
                       "chunk at element " + std::to_string(e.raw_offset) +
                           ": archive digest mismatch");
         dev.ensure(e.raw_len, device::space::device);
-        pipe.decompress(fmt::chunk_archive(cv, e), dev, s);
-        emit(e, dev, s);
+        pipe.decompress(bytes, dev, s);
+        device::memcpy_async(out + e.raw_offset, dev.data(),
+                             e.raw_len * sizeof(T), device::copy_kind::d2h,
+                             s);
         s.sync();
         if (t0) {
           trace::complete("chunked", "dechunk#" + std::to_string(i), t0,
@@ -210,8 +204,6 @@ chunked_info inspect_chunked(std::span<const u8> archive) {
   const fmt::chunk_container_view cv = fmt::parse_chunk_container(archive);
   info.chunked = true;
   info.dims = cv.dims;
-  FZMOD_REQUIRE(cv.hdr.type <= static_cast<u8>(dtype::f64),
-                status::corrupt_archive, "chunk container: unknown dtype");
   info.type = static_cast<dtype>(cv.hdr.type);
   info.nchunks = cv.hdr.nchunks;
   info.chunk_elems = cv.hdr.chunk_elems;
@@ -233,17 +225,7 @@ chunked_verify_report verify_chunked(std::span<const u8> archive) {
   // digest mismatches — container-level and per-chunk — are reported.
   const fmt::chunk_container_view cv =
       fmt::parse_chunk_container(archive, /*check_digests=*/false);
-  rep.container_ok =
-      fmt::chunk_header_digest(cv.hdr) == cv.hdr.digest_header;
-  const u64 dir_bytes = cv.hdr.nchunks * sizeof(fmt::chunk_dir_entry);
-  const std::size_t dir_at = archive.size() - sizeof(u64) - dir_bytes;
-  u64 dir_digest = 0;
-  std::memcpy(&dir_digest, archive.data() + dir_at + dir_bytes,
-              sizeof(dir_digest));
-  if (kernels::chunked_hash(archive.subspan(dir_at, dir_bytes)) !=
-      dir_digest) {
-    rep.container_ok = false;
-  }
+  rep.container_ok = cv.digests_ok;
   rep.chunks.reserve(cv.entries.size());
   for (u64 i = 0; i < cv.entries.size(); ++i) {
     chunk_verify_entry ce;
@@ -342,17 +324,8 @@ void chunked_pipeline<T>::compress_stream(const source_fn& src, dims3 dims,
   }
 
   if (progress.emit_header) {
-    fmt::chunk_header_v3 hdr{};
-    hdr.magic = fmt::chunk_magic_v3;
-    hdr.version = fmt::chunk_container_version;
-    hdr.type = static_cast<u8>(dtype_of<T>());
-    hdr.pad = 0;
-    hdr.dims[0] = dims.x;
-    hdr.dims[1] = dims.y;
-    hdr.dims[2] = dims.z;
-    hdr.nchunks = nchunks;
-    hdr.chunk_elems = chunk_elems;
-    hdr.digest_header = fmt::chunk_header_digest(hdr);
+    const fmt::chunk_header_v3 hdr =
+        fmt::make_chunk_header(dtype_of<T>(), dims, nchunks, chunk_elems);
     sink(std::span<const u8>(reinterpret_cast<const u8*>(&hdr),
                              sizeof(hdr)));
   }
@@ -489,13 +462,7 @@ void chunked_pipeline<T>::compress_stream(const source_fn& src, dims3 dims,
     progress.io->peak_bytes = std::max(progress.io->peak_bytes, peak);
   }
 
-  std::vector<u8> dir(nchunks * sizeof(fmt::chunk_dir_entry));
-  std::memcpy(dir.data(), sh.entries.data(), dir.size());
-  sink(dir);
-  const u64 dir_digest = kernels::chunked_hash(dir);
-  std::vector<u8> tail;
-  append_bytes(tail, &dir_digest, sizeof(dir_digest));
-  sink(tail);
+  sink(fmt::build_directory(sh.entries));
 }
 
 template <class T>
@@ -509,61 +476,7 @@ std::vector<T> chunked_pipeline<T>::decompress(std::span<const u8> archive) {
                 status::invalid_argument,
                 "chunk container holds a different dtype");
   std::vector<T> out(cv.dims.len());
-  decode_chunks<T>(
-      cv, cv.entries, cfg_, opt_.resolve_jobs(),
-      [&](const fmt::chunk_dir_entry& e, device::buffer<T>& dev,
-          device::stream& s) {
-        device::memcpy_async(out.data() + e.raw_offset, dev.data(),
-                             e.raw_len * sizeof(T), device::copy_kind::d2h,
-                             s);
-      });
-  return out;
-}
-
-template <class T>
-std::vector<T> chunked_pipeline<T>::decompress_range(
-    std::span<const u8> archive, u64 elem_offset, u64 elem_count) {
-  if (!fmt::is_chunk_container(archive)) {
-    // Validate against the header's declared dims before decoding: the
-    // whole-field decode is the expensive part, and a decode failure must
-    // not shadow a bad-range diagnosis.
-    const archive_info ai = inspect_archive(archive);
-    require_range(elem_offset, elem_count, ai.dims.len(),
-                  "decompress_range");
-    pipeline<T> pipe(cfg_);
-    const std::vector<T> full = pipe.decompress(archive);
-    return std::vector<T>(full.begin() + elem_offset,
-                          full.begin() + elem_offset + elem_count);
-  }
-  const fmt::chunk_container_view cv = fmt::parse_chunk_container(archive);
-  FZMOD_REQUIRE(cv.hdr.type == static_cast<u8>(dtype_of<T>()),
-                status::invalid_argument,
-                "chunk container holds a different dtype");
-  require_range(elem_offset, elem_count, cv.dims.len(), "decompress_range");
-  std::vector<T> out(elem_count);
-
-  // Entries are sorted by raw_offset (parse enforces contiguous tiling);
-  // the covering chunks are a contiguous directory run.
-  const u64 lo = elem_offset, hi = elem_offset + elem_count;
-  std::size_t first = 0;
-  while (cv.entries[first].raw_offset + cv.entries[first].raw_len <= lo)
-    ++first;
-  std::size_t last = first;
-  while (last < cv.entries.size() && cv.entries[last].raw_offset < hi)
-    ++last;
-  const std::span<const fmt::chunk_dir_entry> covering(
-      cv.entries.data() + first, last - first);
-
-  decode_chunks<T>(
-      cv, covering, cfg_, opt_.resolve_jobs(),
-      [&](const fmt::chunk_dir_entry& e, device::buffer<T>& dev,
-          device::stream& s) {
-        const u64 a = std::max(lo, e.raw_offset);
-        const u64 b = std::min(hi, e.raw_offset + e.raw_len);
-        device::memcpy_async(out.data() + (a - lo),
-                             dev.data() + (a - e.raw_offset),
-                             (b - a) * sizeof(T), device::copy_kind::d2h, s);
-      });
+  decode_chunks<T>(cv, cfg_, opt_.resolve_jobs(), out.data());
   return out;
 }
 

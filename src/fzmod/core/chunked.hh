@@ -13,8 +13,8 @@
 //
 //   (a) parallel decompression — chunks decode concurrently on their own
 //       streams;
-//   (b) random access — `decompress_range()` reads a sub-extent touching
-//       only the chunks that cover it;
+//   (b) random access — `core::reader` (core/reader.hh) reads a sub-extent
+//       touching only the chunks that cover it;
 //   (c) streaming compression — `compress_stream()` holds at most the
 //       in-flight window of chunks in memory, so inputs larger than
 //       memory compress through a source/sink pair.
@@ -124,34 +124,6 @@ struct chunked_info {
 
 [[nodiscard]] chunked_info inspect_chunked(std::span<const u8> archive);
 
-/// Element-range validation shared by decompress_range and the seekable
-/// reader. Runs BEFORE any decode work: a malformed request must fail as
-/// invalid_argument with the numbers in the message — never cost a decode
-/// first, and never get masked by a corruption error from a chunk the
-/// request should not have touched. Zero-length ranges are rejected (a
-/// serving read of nothing is a caller bug), as is an offset at or past
-/// the field end. The subtraction form of the end check is immune to
-/// elem_offset + elem_count wrapping u64.
-inline void require_range(u64 elem_offset, u64 elem_count, u64 field_len,
-                          const char* who) {
-  FZMOD_REQUIRE(elem_count >= 1, status::invalid_argument,
-                std::string(who) + ": zero-length range at offset " +
-                    std::to_string(elem_offset));
-  FZMOD_REQUIRE(elem_offset < field_len, status::invalid_argument,
-                std::string(who) + ": offset " +
-                    std::to_string(elem_offset) +
-                    " is at or past the field end (" +
-                    std::to_string(field_len) + " elements)");
-  FZMOD_REQUIRE(elem_count <= field_len - elem_offset,
-                status::invalid_argument,
-                std::string(who) + ": range [" +
-                    std::to_string(elem_offset) + ", " +
-                    std::to_string(elem_offset) + "+" +
-                    std::to_string(elem_count) +
-                    ") overruns the field (" + std::to_string(field_len) +
-                    " elements)");
-}
-
 /// verify_archive's container analogue: per-chunk digest + inner report.
 struct chunk_verify_entry {
   u64 index = 0;
@@ -228,15 +200,6 @@ class chunked_pipeline {
   /// Decompress any archive version: v3 containers decode chunk-parallel,
   /// v1/v2 delegate to core::pipeline.
   [[nodiscard]] std::vector<T> decompress(std::span<const u8> archive);
-
-  /// Random access: decode only the chunks covering
-  /// [elem_offset, elem_offset + elem_count) and return that sub-extent.
-  /// Bytes of other chunks are never read, so damage elsewhere in the
-  /// container does not affect the result. v1/v2 archives decode fully
-  /// (they are one chunk) and slice.
-  [[nodiscard]] std::vector<T> decompress_range(std::span<const u8> archive,
-                                                u64 elem_offset,
-                                                u64 elem_count);
 
   [[nodiscard]] const pipeline_config& config() const { return cfg_; }
   [[nodiscard]] const chunked_options& options() const { return opt_; }

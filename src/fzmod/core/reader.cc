@@ -35,6 +35,42 @@ dtype dtype_of<f64>() {
   return dtype::f64;
 }
 
+/// Element-range validation for read() and chunks(). Runs BEFORE any
+/// decode work: a malformed request must fail as invalid_argument with the
+/// numbers in the message — never cost a decode first, and never get
+/// masked by a corruption error from a chunk the request should not have
+/// touched. Zero-length ranges are rejected (a serving read of nothing is
+/// a caller bug), as is an offset at or past the field end. The
+/// subtraction form of the end check is immune to elem_offset + elem_count
+/// wrapping u64.
+void require_range(u64 elem_offset, u64 elem_count, u64 field_len,
+                   const char* who) {
+  FZMOD_REQUIRE(elem_count >= 1, status::invalid_argument,
+                std::string(who) + ": zero-length range at offset " +
+                    std::to_string(elem_offset));
+  FZMOD_REQUIRE(elem_offset < field_len, status::invalid_argument,
+                std::string(who) + ": offset " +
+                    std::to_string(elem_offset) +
+                    " is at or past the field end (" +
+                    std::to_string(field_len) + " elements)");
+  FZMOD_REQUIRE(elem_count <= field_len - elem_offset,
+                status::invalid_argument,
+                std::string(who) + ": range [" +
+                    std::to_string(elem_offset) + ", " +
+                    std::to_string(elem_offset) + "+" +
+                    std::to_string(elem_count) +
+                    ") overruns the field (" + std::to_string(field_len) +
+                    " elements)");
+}
+
+/// Pull `len` bytes at `off` from a byte source into a fresh buffer.
+template <class Src>
+[[nodiscard]] std::vector<u8> fetch_bytes(const Src& src, u64 off, u64 len) {
+  std::vector<u8> out(static_cast<std::size_t>(len));
+  if (len) src(out.data(), off, out.size());
+  return out;
+}
+
 }  // namespace
 
 std::size_t reader_options::resolve_cache_bytes() const {
@@ -76,8 +112,9 @@ struct reader<T>::impl {
   dims3 fdims;
   u64 n = 0;                // field elements
   u64 payload_off = 0;      // byte offset of the chunk payload region
-  fmt::chunk_header_v3 chdr{};
-  std::vector<fmt::chunk_dir_entry> entries;
+  /// The v3 header and directory (no payload span: bytes are fetched);
+  /// a plain archive holds just its one implicit entry.
+  fmt::chunk_container_view cv;
 
   // --- shared state (everything below lives under `mu`) --------------------
   struct entry {
@@ -126,147 +163,78 @@ struct reader<T>::impl {
     pipeline<T> probe(cfg);
     (void)probe;
 
-    FZMOD_REQUIRE(total_bytes >= sizeof(u32), status::corrupt_archive,
-                  "reader: archive too small");
-    u32 magic = 0;
-    fetch(reinterpret_cast<u8*>(&magic), 0, sizeof(magic));
-    if (magic == fmt::chunk_magic_v3) {
-      open_container(index, opt);
-    } else {
-      open_plain();
-    }
+    const std::vector<u8> head = fetch_bytes(
+        fetch, 0, std::min<u64>(total_bytes, sizeof(fmt::chunk_header_v3)));
+    const dtype type = fmt::is_chunk_container(head)
+                           ? open_container(head, index, opt)
+                           : open_plain();
+    FZMOD_REQUIRE(type == dtype_of<T>(), status::invalid_argument,
+                  "reader: archive holds a different dtype");
     workers.reserve(njobs);
     for (unsigned w = 0; w < njobs; ++w) {
       workers.emplace_back([this] { worker(); });
     }
   }
 
-  /// v3 container open: validate the 56-byte header, then source the
+  /// v3 container open: the header step over the fetched header, then the
   /// directory from the sidecar index (when given and it checks out
-  /// against this exact container) or from the trailing directory scan.
-  void open_container(std::span<const u8> index,
-                      const reader_options& opt) {
-    FZMOD_REQUIRE(total_bytes >= sizeof(fmt::chunk_header_v3),
-                  status::corrupt_archive, "chunk container too small");
-    fetch(reinterpret_cast<u8*>(&chdr), 0, sizeof(chdr));
-    FZMOD_REQUIRE(chdr.magic == fmt::chunk_magic_v3 &&
-                      chdr.version == fmt::chunk_container_version,
-                  status::corrupt_archive, "bad chunk container header");
-    FZMOD_REQUIRE(chdr.pad == 0, status::corrupt_archive,
-                  "chunk container: nonzero padding");
-    if (fmt::verify_enabled()) {
-      FZMOD_REQUIRE(fmt::chunk_header_digest(chdr) == chdr.digest_header,
-                    status::corrupt_archive,
-                    "chunk container: header digest mismatch");
-    }
-    fdims = dims3{chdr.dims[0], chdr.dims[1], chdr.dims[2]};
-    FZMOD_REQUIRE(!fdims.len_invalid(), status::corrupt_archive,
-                  "chunk container dims out of supported range");
-    FZMOD_REQUIRE(chdr.type == static_cast<u8>(dtype_of<T>()),
-                  status::invalid_argument,
-                  "reader: chunk container holds a different dtype");
+  /// against this exact container) or the directory step over the
+  /// fetched tail. Returns the field's dtype.
+  dtype open_container(std::span<const u8> head, std::span<const u8> index,
+                       const reader_options& opt) {
+    cv = fmt::parse_chunk_header(head, total_bytes, fmt::verify_enabled());
+    fdims = cv.dims;
     n = fdims.len();
-    FZMOD_REQUIRE(chdr.nchunks >= 1 && chdr.nchunks <= n,
-                  status::corrupt_archive,
-                  "chunk container: implausible chunk count");
-    const u64 dir_bytes = chdr.nchunks * sizeof(fmt::chunk_dir_entry);
-    FZMOD_REQUIRE(total_bytes >= sizeof(fmt::chunk_header_v3) + dir_bytes +
-                                     sizeof(u64),
-                  status::corrupt_archive,
-                  "chunk container: directory truncated");
     payload_off = sizeof(fmt::chunk_header_v3);
-    const u64 payload_bytes =
-        total_bytes - payload_off - dir_bytes - sizeof(u64);
 
     if (!index.empty()) {
       // Any fzmod::error while vetting the index — damaged sidecar, a
       // container that has since been rewritten, a forged directory —
       // degrades to the scan below. Never a crash, never trusted blindly.
       try {
-        import_index(index, payload_bytes, opt);
+        cv.entries = fmt::index_directory(
+            fmt::parse_index(index), cv, opt.check_index_digest,
+            [this] { return container_digest(); });
         st.index_used = true;
         trace::instant("reader", "open.index");
-        return;
+        return static_cast<dtype>(cv.hdr.type);
       } catch (const error&) {
         trace::instant("reader", "index.rejected");
       }
     }
-    scan_directory(dir_bytes, payload_bytes);
+    fmt::parse_chunk_directory(
+        cv, fetch_bytes(fetch, total_bytes - cv.tail_bytes, cv.tail_bytes),
+        fmt::verify_enabled());
     trace::instant("reader", "open.dirscan");
-  }
-
-  /// Vet a sidecar index against this container: identity fields, exact
-  /// container size, whole-container digest (the stale detector; gated by
-  /// check_index_digest), and full structural screening of the imported
-  /// directory — a forged entry must not be able to slice out of bounds.
-  void import_index(std::span<const u8> index, u64 payload_bytes,
-                    const reader_options& opt) {
-    const fmt::fzx_view fv = fmt::parse_index(index);
-    FZMOD_REQUIRE(fv.hdr.type == chdr.type &&
-                      fv.hdr.dims[0] == chdr.dims[0] &&
-                      fv.hdr.dims[1] == chdr.dims[1] &&
-                      fv.hdr.dims[2] == chdr.dims[2] &&
-                      fv.hdr.nchunks == chdr.nchunks &&
-                      fv.hdr.chunk_elems == chdr.chunk_elems,
-                  status::corrupt_archive,
-                  "fzx index: field identity does not match the container");
-    FZMOD_REQUIRE(fv.hdr.container_bytes == total_bytes,
-                  status::corrupt_archive,
-                  "fzx index: container size mismatch (stale index)");
-    if (opt.check_index_digest) {
-      FZMOD_REQUIRE(container_digest() == fv.hdr.container_digest,
-                    status::corrupt_archive,
-                    "fzx index: container digest mismatch (stale index)");
-    }
-    fmt::validate_chunk_directory(fv.entries, n, payload_bytes);
-    entries = fv.entries;
-  }
-
-  void scan_directory(u64 dir_bytes, u64 payload_bytes) {
-    std::vector<u8> dir(static_cast<std::size_t>(dir_bytes) + sizeof(u64));
-    fetch(dir.data(), total_bytes - dir.size(), dir.size());
-    if (fmt::verify_enabled()) {
-      u64 dir_digest = 0;
-      std::memcpy(&dir_digest, dir.data() + dir_bytes, sizeof(dir_digest));
-      FZMOD_REQUIRE(
-          kernels::chunked_hash(std::span<const u8>(dir.data(),
-                                                    dir_bytes)) ==
-              dir_digest,
-          status::corrupt_archive,
-          "chunk container: directory digest mismatch");
-    }
-    entries.resize(chdr.nchunks);
-    std::memcpy(entries.data(), dir.data(), dir_bytes);
-    fmt::validate_chunk_directory(entries, n, payload_bytes);
+    return static_cast<dtype>(cv.hdr.type);
   }
 
   /// v1/v2 archive: the whole archive is one implicit chunk. Streaming
   /// sources are materialized (plain archives are not the huge-container
-  /// case the streaming open exists for).
-  void open_plain() {
+  /// case the streaming open exists for). Returns the field's dtype.
+  dtype open_plain() {
     std::vector<u8> buf;
     std::span<const u8> whole;
     if (owned.size() == total_bytes) {
       whole = owned;
     } else {
-      buf.resize(static_cast<std::size_t>(total_bytes));
-      fetch(buf.data(), 0, buf.size());
+      buf = fetch_bytes(fetch, 0, total_bytes);
       whole = buf;
     }
+    // The sealed whole-body digest comes first: inspect_archive LZ-parses
+    // a secondary body, and the LZ parser must only see verified bytes.
+    fmt::verify_outer(fmt::parse_outer(whole));
     const archive_info ai = inspect_archive(whole);
-    FZMOD_REQUIRE(ai.type == dtype_of<T>(), status::invalid_argument,
-                  "reader: archive holds a different dtype");
     plain = true;
     fdims = ai.dims;
     n = fdims.len();
     payload_off = 0;
     fmt::chunk_dir_entry e{};
-    e.raw_offset = 0;
     e.raw_len = n;
-    e.archive_offset = 0;
     e.archive_bytes = total_bytes;
-    e.digest = 0;  // the inner archive carries its own digests
-    entries.push_back(e);
+    // e.digest stays 0: the inner archive carries its own digests.
+    cv.entries.push_back(e);
+    return ai.type;
   }
 
   [[nodiscard]] u64 container_digest() const {
@@ -280,10 +248,10 @@ struct reader<T>::impl {
   [[nodiscard]] std::size_t find_chunk(u64 elem) const {
     std::size_t at = 0;
     // Entries tile the field contiguously; binary search the run start.
-    std::size_t lo = 0, hi = entries.size();
+    std::size_t lo = 0, hi = cv.entries.size();
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
-      if (entries[mid].raw_offset + entries[mid].raw_len <= elem) {
+      if (cv.entries[mid].raw_offset + cv.entries[mid].raw_len <= elem) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -331,7 +299,7 @@ struct reader<T>::impl {
   /// very first read — random access then costs nothing, scans prefetch
   /// from the second read onward.
   void issue_prefetch_locked(std::size_t first, std::size_t last) {
-    if (ways == 0 || entries.size() <= 1) return;
+    if (ways == 0 || cv.entries.size() <= 1) return;
     i64 step = 0;
     if (!have_prev) {
       step = 1;
@@ -348,7 +316,7 @@ struct reader<T>::impl {
       // the current run, so speculate densely.
       for (unsigned k = 0; k < ways; ++k) {
         const std::size_t t = last + k;
-        if (t >= entries.size()) break;
+        if (t >= cv.entries.size()) break;
         request_locked(t, /*demand=*/false);
       }
     } else {
@@ -356,7 +324,7 @@ struct reader<T>::impl {
       // next reads (forward or backward).
       for (unsigned k = 1; k <= ways; ++k) {
         const i64 t = static_cast<i64>(first) + static_cast<i64>(k) * step;
-        if (t < 0 || t >= static_cast<i64>(entries.size())) break;
+        if (t < 0 || t >= static_cast<i64>(cv.entries.size())) break;
         request_locked(static_cast<std::size_t>(t), /*demand=*/false);
       }
     }
@@ -451,7 +419,7 @@ struct reader<T>::impl {
       if (t0) {
         trace::complete("reader", "decode#" + std::to_string(id), t0,
                         trace::now_ns() - t0, 0,
-                        static_cast<f64>(entries[id].raw_len));
+                        static_cast<f64>(cv.entries[id].raw_len));
       }
       lk.lock();
       it = cache.find(id);
@@ -475,16 +443,14 @@ struct reader<T>::impl {
   [[nodiscard]] std::shared_ptr<std::vector<T>> decode_one(
       std::size_t id, device::buffer<T>& dev, std::vector<u8>& scratch,
       pipeline<T>& pipe, device::stream& s) {
-    const fmt::chunk_dir_entry& e = entries[id];
+    const fmt::chunk_dir_entry& e = cv.entries[id];
     scratch.resize(static_cast<std::size_t>(e.archive_bytes));
     fetch(scratch.data(), payload_off + e.archive_offset, scratch.size());
     const std::span<const u8> bytes(scratch.data(), scratch.size());
-    if (!plain && fmt::verify_enabled()) {
-      FZMOD_REQUIRE(kernels::chunked_hash(bytes) == e.digest,
-                    status::corrupt_archive,
-                    "reader: chunk " + std::to_string(id) +
-                        " archive digest mismatch");
-    }
+    FZMOD_REQUIRE(plain || fmt::chunk_digest_ok(e, bytes),
+                  status::corrupt_archive,
+                  "reader: chunk " + std::to_string(id) +
+                      " archive digest mismatch");
     auto out = std::make_shared<std::vector<T>>(
         static_cast<std::size_t>(e.raw_len));
     dev.ensure(e.raw_len, device::space::device);
@@ -556,88 +522,29 @@ template <class T>
 reader<T> reader<T>::open_field(byte_source src, u64 container_bytes,
                                 std::string_view field, reader_options opt,
                                 pipeline_config cfg) {
-  FZMOD_REQUIRE(container_bytes >= sizeof(u32), status::corrupt_archive,
-                "reader: archive too small");
-  u32 magic = 0;
-  src(reinterpret_cast<u8*>(&magic), 0, sizeof(magic));
-  if (magic != fmt::multi_magic) {
-    FZMOD_REQUIRE(field.empty(), status::invalid_argument,
-                  "field selection: archive is single-field; --field only "
-                  "applies to multi-field containers");
+  // The span parse's two steps and selection rule, over fetched bytes.
+  const bool verify = fmt::verify_enabled();
+  const std::vector<u8> head = fetch_bytes(
+      src, 0, std::min<u64>(container_bytes, sizeof(fmt::multi_header)));
+  if (!fmt::is_multi_container(head)) {
+    fmt::require_no_field_name(field);
     return reader(std::move(src), container_bytes, std::move(opt),
                   std::move(cfg));
   }
-
-  fmt::multi_view mv;
-  FZMOD_REQUIRE(container_bytes >= sizeof(fmt::multi_header),
-                status::corrupt_archive, "multi container too small");
-  src(reinterpret_cast<u8*>(&mv.hdr), 0, sizeof(mv.hdr));
-  FZMOD_REQUIRE(mv.hdr.version == fmt::multi_container_version,
-                status::corrupt_archive, "bad multi container header");
-  if (fmt::verify_enabled()) {
-    FZMOD_REQUIRE(fmt::multi_header_digest(mv.hdr) == mv.hdr.digest_header,
-                  status::corrupt_archive,
-                  "multi container: header digest mismatch");
-  }
-  FZMOD_REQUIRE(mv.hdr.nfields >= 1 &&
-                    mv.hdr.nfields <= fmt::multi_max_fields,
-                status::corrupt_archive,
-                "multi container: implausible field count");
-  const u64 dir_bytes =
-      static_cast<u64>(mv.hdr.nfields) * sizeof(fmt::field_dir_entry);
-  FZMOD_REQUIRE(container_bytes >=
-                    sizeof(fmt::multi_header) + dir_bytes + sizeof(u64),
-                status::corrupt_archive,
-                "multi container: directory truncated");
-  std::vector<u8> tail(static_cast<std::size_t>(dir_bytes) + sizeof(u64));
-  src(tail.data(), container_bytes - tail.size(), tail.size());
-  if (fmt::verify_enabled()) {
-    u64 dir_digest = 0;
-    std::memcpy(&dir_digest, tail.data() + dir_bytes, sizeof(dir_digest));
-    FZMOD_REQUIRE(kernels::chunked_hash(std::span<const u8>(
-                      tail.data(), static_cast<std::size_t>(dir_bytes))) ==
-                      dir_digest,
-                  status::corrupt_archive,
-                  "multi container: directory digest mismatch");
-  }
-  mv.entries.resize(mv.hdr.nfields);
-  std::memcpy(mv.entries.data(), tail.data(),
-              static_cast<std::size_t>(dir_bytes));
-  const u64 payload_bytes =
-      container_bytes - sizeof(fmt::multi_header) - dir_bytes - sizeof(u64);
-  fmt::validate_field_directory(mv.entries, payload_bytes);
-
-  const fmt::field_dir_entry* e = nullptr;
-  if (field.empty()) {
-    FZMOD_REQUIRE(mv.entries.size() == 1, status::invalid_argument,
-                  "multi-field archive holds " +
-                      std::to_string(mv.entries.size()) +
-                      " fields; pick one with --field (available: " +
-                      fmt::field_name_list(mv) + ")");
-    e = &mv.entries[0];
-  } else {
-    e = fmt::find_field(mv, field);
-    FZMOD_REQUIRE(e != nullptr, status::invalid_argument,
-                  "multi-field archive: no field named '" +
-                      std::string(field) + "' (available: " +
-                      fmt::field_name_list(mv) + ")");
-  }
-  const u64 base = sizeof(fmt::multi_header) + e->archive_offset;
-  const u64 bytes = e->archive_bytes;
-  if (fmt::verify_enabled()) {
-    const u64 got = kernels::chunked_hash_stream(
-        bytes, [&](u8* dst, u64 off, std::size_t len) {
-          src(dst, base + off, len);
-        });
-    FZMOD_REQUIRE(got == e->digest, status::corrupt_archive,
-                  "multi container: field '" + std::string(e->name) +
-                      "' archive digest mismatch");
-  }
+  fmt::multi_view mv = fmt::parse_multi_header(head, container_bytes, verify);
+  fmt::parse_multi_directory(
+      mv, fetch_bytes(src, container_bytes - mv.tail_bytes, mv.tail_bytes),
+      verify);
+  const fmt::field_dir_entry& e = fmt::pick_field(mv, field);
+  const u64 base = sizeof(fmt::multi_header) + e.archive_offset;
   byte_source sub = [src = std::move(src), base](u8* dst, u64 off,
                                                  std::size_t len) {
     src(dst, base + off, len);
   };
-  return reader(std::move(sub), bytes, std::move(opt), std::move(cfg));
+  fmt::verify_field_digest(
+      e, [&] { return kernels::chunked_hash_stream(e.archive_bytes, sub); });
+  return reader(std::move(sub), e.archive_bytes, std::move(opt),
+                std::move(cfg));
 }
 
 template <class T>
@@ -681,7 +588,7 @@ u64 reader<T>::size() const {
 }
 template <class T>
 u64 reader<T>::nchunks() const {
-  return impl_->entries.size();
+  return impl_->cv.entries.size();
 }
 
 template <class T>
@@ -692,7 +599,7 @@ std::vector<T> reader<T>::read(u64 elem_offset, u64 elem_count) {
   const u64 lo = elem_offset, hi = elem_offset + elem_count;
   const std::size_t first = im.find_chunk(lo);
   std::size_t last = first;
-  while (last < im.entries.size() && im.entries[last].raw_offset < hi)
+  while (last < im.cv.entries.size() && im.cv.entries[last].raw_offset < hi)
     ++last;
 
   std::vector<std::shared_ptr<const std::vector<T>>> datas(last - first);
@@ -721,7 +628,7 @@ std::vector<T> reader<T>::read(u64 elem_offset, u64 elem_count) {
   // chunks alive even if the cache evicts them meanwhile.
   std::vector<T> out(static_cast<std::size_t>(elem_count));
   for (std::size_t id = first; id < last; ++id) {
-    const fmt::chunk_dir_entry& e = im.entries[id];
+    const fmt::chunk_dir_entry& e = im.cv.entries[id];
     const u64 a = std::max(lo, e.raw_offset);
     const u64 b = std::min(hi, e.raw_offset + e.raw_len);
     std::memcpy(out.data() + (a - lo),
@@ -741,7 +648,7 @@ std::shared_ptr<const std::vector<T>> reader<T>::fetch_chunk(
   im.request_locked(id, /*demand=*/true);
   // Cursor walks are sequential by construction: prefetch straight ahead.
   for (unsigned k = 1; k <= im.ways; ++k) {
-    if (id + k >= im.entries.size()) break;
+    if (id + k >= im.cv.entries.size()) break;
     im.request_locked(id + k, /*demand=*/false);
   }
   im.cv_work.notify_all();
@@ -757,7 +664,7 @@ reader<T>::chunk_cursor::chunk_cursor(reader& r, u64 lo, u64 hi,
 
 template <class T>
 bool reader<T>::chunk_cursor::next(chunk_view& out) {
-  const auto& entries = r_->impl_->entries;
+  const auto& entries = r_->impl_->cv.entries;
   if (at_ >= entries.size() || entries[at_].raw_offset >= hi_) {
     held_.reset();
     return false;
@@ -788,10 +695,7 @@ std::vector<u8> reader<T>::export_index() const {
   FZMOD_REQUIRE(!im.plain, status::unsupported,
                 "export_index: plain v1/v2 archives have no chunk "
                 "directory to index");
-  fmt::chunk_container_view cv;
-  cv.hdr = im.chdr;
-  cv.entries = im.entries;
-  return fmt::build_index(cv, im.total_bytes, im.container_digest());
+  return fmt::build_index(im.cv, im.total_bytes, im.container_digest());
 }
 
 template <class T>

@@ -1,18 +1,18 @@
-// FZModules — seekable reader: the serving-side view of a compressed field.
-//
-// `decompress_range()` is a one-shot: every call re-parses the container
-// directory, decodes its covering chunks cold, and throws the work away.
+// FZModules — seekable reader: the serving-side view of a compressed field
+// and the library's one random-access engine (`fzmod decompress --range`,
+// snapshot_reader::make_reader and the reader bench all read through it).
 // A read-heavy consumer (visualization slicing a field, a query engine
-// fetching extents) needs the opposite — parse once, cache decoded
-// chunks, and predict what gets read next. This reader is that primitive,
-// shaped after rapidgzip's ParallelGzipReader / chunk-fetcher split and
+// fetching extents) needs to parse once, cache decoded chunks, and
+// predict what gets read next. This reader is that primitive, shaped
+// after rapidgzip's ParallelGzipReader / chunk-fetcher split and
 // indexed_bzip2's exportable block index:
 //
 //   - **open once** — the chunk directory is parsed and validated exactly
-//     once per reader, from the container itself or from an imported
-//     `.fzx` sidecar index (archive_format.hh) that skips the trailing
-//     directory scan entirely; a stale or forged index (container digest
-//     mismatch, damaged sidecar) degrades to a normal scan, never a crash;
+//     once per reader, by the same header and directory steps a span
+//     parse runs (archive_format.hh), from the container itself or from an
+//     imported `.fzx` sidecar index that skips the trailing directory scan
+//     entirely; a stale or forged index (container digest mismatch,
+//     damaged sidecar) degrades to a normal scan, never a crash;
 //   - **LRU chunk cache** — decoded chunks are kept under a byte budget
 //     (`reader_options::cache_mb` / `FZMOD_READER_CACHE_MB`), keyed by
 //     chunk id; repeated or overlapping reads hit memory instead of the
@@ -26,8 +26,9 @@
 //     scheduler's slot shape: one pipeline + one stream + one device
 //     buffer each) serve demand misses ahead of speculation.
 //
-// Reads are byte-identical to `chunked_pipeline::decompress_range` on the
-// same archive; plain v1/v2 archives open as one implicit chunk. Under
+// Reads are byte-identical to the same slice of a full decompress; plain
+// v1/v2 archives open as one implicit chunk, after their sealed body
+// digest is checked (before any LZ parse of the body). Under
 // FZMOD_TRACE=1 every read emits a span and cumulative
 // `reader.cache.{hit,miss,evict}` / `reader.prefetch.{issued,used,wasted}`
 // counters, and opens emit an `open.index` / `open.dirscan` instant —
@@ -148,11 +149,11 @@ class reader {
   [[nodiscard]] u64 nchunks() const;
 
   /// Read `elem_count` elements starting at `elem_offset`. Byte-identical
-  /// to decompress_range on the same archive; validation matches it too
-  /// (zero-length and out-of-range requests throw invalid_argument before
-  /// any decode). A damaged covering chunk throws corrupt_archive naming
-  /// the chunk — and keeps throwing on retry; chunks the range does not
-  /// cover are never read, so damage elsewhere is invisible.
+  /// to the same slice of a full decompress. Zero-length and out-of-range
+  /// requests throw invalid_argument before any decode. A damaged covering
+  /// chunk throws corrupt_archive naming the chunk — and keeps throwing on
+  /// retry; chunks the range does not cover are never read, so damage
+  /// elsewhere is invisible.
   [[nodiscard]] std::vector<T> read(u64 elem_offset, u64 elem_count);
 
   /// One decoded chunk's worth of a cursor walk: `data` is the chunk's

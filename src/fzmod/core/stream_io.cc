@@ -501,16 +501,8 @@ template <class T>
   try {
     // The on-disk container header must be exactly what this run would
     // write (it is deterministic), or the file is not ours to splice.
-    fmt::chunk_header_v3 want{};
-    want.magic = fmt::chunk_magic_v3;
-    want.version = fmt::chunk_container_version;
-    want.type = static_cast<u8>(dtype_of<T>());
-    want.dims[0] = dims.x;
-    want.dims[1] = dims.y;
-    want.dims[2] = dims.z;
-    want.nchunks = extents.size();
-    want.chunk_elems = chunk_elems;
-    want.digest_header = fmt::chunk_header_digest(want);
+    const fmt::chunk_header_v3 want = fmt::make_chunk_header(
+        dtype_of<T>(), dims, extents.size(), chunk_elems);
     fmt::chunk_header_v3 got{};
     pread_all(fd, reinterpret_cast<u8*>(&got), 0, sizeof(got), out_path);
     if (std::memcmp(&want, &got, sizeof(want)) != 0) {
@@ -681,22 +673,12 @@ stream_io_stats compress_files_stream(std::span<const field_input> fields,
                                       const stream_options& opt) {
   FZMOD_REQUIRE(!opt.resume, status::unsupported,
                 "stream compress: --resume is single-field only");
-  FZMOD_REQUIRE(!fields.empty() && fields.size() <= fmt::multi_max_fields,
-                status::invalid_argument,
-                "stream compress: need 1.." +
-                    std::to_string(fmt::multi_max_fields) + " fields");
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    const field_input& f = fields[i];
-    FZMOD_REQUIRE(!f.name.empty() &&
-                      f.name.size() < fmt::multi_name_bytes,
-                  status::invalid_argument,
-                  "stream compress: field names must be 1.." +
-                      std::to_string(fmt::multi_name_bytes - 1) + " bytes");
-    for (std::size_t j = 0; j < i; ++j) {
-      FZMOD_REQUIRE(fields[j].name != f.name, status::invalid_argument,
-                    "stream compress: duplicate field name '" + f.name +
-                        "'");
-    }
+  // Every field's name and input are checked before anything is written.
+  const fmt::multi_header mh = fmt::make_multi_header(fields.size());
+  std::vector<fmt::field_dir_entry> dir;
+  dir.reserve(fields.size());
+  for (const field_input& f : fields) {
+    dir.push_back(fmt::make_field_entry(f.name, dtype_of<T>(), f.dims, dir));
     require_input<T>(f.path, f.dims);
   }
 
@@ -706,11 +688,6 @@ stream_io_stats compress_files_stream(std::span<const field_input> fields,
       opt.chunk.resolve_stream_mem_bytes(),
       static_cast<u64>(chunk_elems) * sizeof(T), opt.chunk.resolve_jobs());
 
-  fmt::multi_header mh{};
-  mh.magic = fmt::multi_magic;
-  mh.version = fmt::multi_container_version;
-  mh.nfields = static_cast<u16>(fields.size());
-  mh.digest_header = fmt::multi_header_digest(mh);
   {
     const int fd = open_or_throw(out_path, O_WRONLY | O_CREAT | O_TRUNC);
     try {
@@ -724,56 +701,41 @@ stream_io_stats compress_files_stream(std::span<const field_input> fields,
   }
 
   stream_io_stats st;
-  std::vector<fmt::field_dir_entry> dir;
-  dir.reserve(fields.size());
   u64 arch_at = 0;
-  for (const field_input& f : fields) {
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const field_input& f = fields[i];
     const std::vector<chunk_extent> extents =
         plan_chunks(f.dims, chunk_elems);
     const u64 before = st.bytes_written;
     drive_field<T>(pipe, f.path, f.dims, out_path, /*append=*/true,
                    extents, budget,
                    typename chunked_pipeline<T>::stream_progress{}, st);
-    const u64 fbytes = st.bytes_written - before;
-
-    fmt::field_dir_entry e{};
-    std::memcpy(e.name, f.name.data(), f.name.size());
-    e.type = static_cast<u8>(dtype_of<T>());
-    e.dims[0] = f.dims.x;
-    e.dims[1] = f.dims.y;
-    e.dims[2] = f.dims.z;
+    fmt::field_dir_entry& e = dir[i];
     e.archive_offset = arch_at;
-    e.archive_bytes = fbytes;
+    e.archive_bytes = st.bytes_written - before;
     {
       const int fd = open_or_throw(out_path, O_RDONLY);
       try {
-        e.digest = hash_file_range(fd, sizeof(mh) + arch_at, fbytes,
-                                   out_path);
+        e.digest = hash_file_range(fd, sizeof(mh) + arch_at,
+                                   e.archive_bytes, out_path);
       } catch (...) {
         ::close(fd);
         throw;
       }
       ::close(fd);
     }
-    dir.push_back(e);
-    arch_at += fbytes;
+    arch_at += e.archive_bytes;
   }
 
   {
     const int fd = open_or_throw(out_path, O_WRONLY | O_APPEND);
     try {
-      const std::size_t dir_bytes =
-          dir.size() * sizeof(fmt::field_dir_entry);
-      write_all(fd, reinterpret_cast<const u8*>(dir.data()), dir_bytes,
-                out_path);
-      const u64 dir_digest = kernels::chunked_hash(std::span<const u8>(
-          reinterpret_cast<const u8*>(dir.data()), dir_bytes));
-      write_all(fd, reinterpret_cast<const u8*>(&dir_digest),
-                sizeof(dir_digest), out_path);
+      const std::vector<u8> tail = fmt::build_directory(dir);
+      write_all(fd, tail.data(), tail.size(), out_path);
       FZMOD_REQUIRE(::fsync(fd) == 0, status::invalid_argument,
                     "fsync failed for '" + out_path +
                         "': " + std::strerror(errno));
-      st.bytes_written += dir_bytes + sizeof(dir_digest);
+      st.bytes_written += tail.size();
     } catch (...) {
       ::close(fd);
       throw;

@@ -1,8 +1,9 @@
 // Tests for the chunk-parallel driver and the v3 chunk container:
 // chunk planning, ragged tails, v2 byte-identity for single-chunk plans,
-// 1-element chunks, decompress_range() slice equality and read isolation
-// (a bit flip in one chunk must only damage that chunk), streaming
-// compression, snapshot integration, and the pipeline busy guard.
+// 1-element chunks, damage isolation (a bit flip in one chunk must only
+// damage that chunk, and range reads of the others still succeed),
+// streaming compression, snapshot integration, and the pipeline busy
+// guard. Range-read equality and validation live in test_reader.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 
 #include "fzmod/common/rng.hh"
 #include "fzmod/core/chunked.hh"
+#include "fzmod/core/reader.hh"
 #include "fzmod/core/snapshot.hh"
 #include "fzmod/metrics/metrics.hh"
 #include "fzmod/trace/trace.hh"
@@ -157,86 +159,6 @@ TEST(Chunked, OneElementChunksOn1DField) {
   expect_within_bound(v, cp.decompress(arch), 1e-4);
 }
 
-TEST(Chunked, DecompressRangeEqualsFullDecodeSlice) {
-  const dims3 d{64, 8, 9};
-  chunked_options opt;
-  opt.chunk_elems = 2 * 64 * 8;  // 2 slabs/chunk -> 5 chunks
-  chunked_pipeline<f32> cp(pipeline_config{}, opt);
-  const auto v = smooth_field(d, 11);
-  const auto arch = cp.compress(v, d);
-  ASSERT_TRUE(fmt::is_chunk_container(arch));
-  const auto full = cp.decompress(arch);
-
-  // Ranges chosen to hit: chunk-interior, chunk-straddling, first & last
-  // element, and the whole field.
-  const std::pair<u64, u64> ranges[] = {
-      {700, 300}, {64 * 8, 64 * 8}, {0, 1},  {d.len() - 1, 1},
-      {0, d.len()}, {100, 2000},
-  };
-  for (const auto& [off, cnt] : ranges) {
-    const auto part = cp.decompress_range(arch, off, cnt);
-    ASSERT_EQ(part.size(), cnt);
-    for (u64 i = 0; i < cnt; ++i) {
-      ASSERT_EQ(part[i], full[off + i]) << "off=" << off << " i=" << i;
-    }
-  }
-  EXPECT_THROW((void)cp.decompress_range(arch, d.len(), 1), error);
-}
-
-TEST(Chunked, DecompressRangeRejectsDegenerateRequests) {
-  // Regression: zero-length ranges used to return an empty vector (hiding
-  // caller bugs), offset+count overflow wrapped into a "valid" tiny
-  // range, and a range at the field end slipped past validation on the
-  // plain v1/v2 path. All must throw invalid_argument *before* decoding.
-  const dims3 d{64, 8, 9};
-  chunked_options opt;
-  opt.chunk_elems = 2 * 64 * 8;
-  chunked_pipeline<f32> cp(pipeline_config{}, opt);
-  const auto v = smooth_field(d, 11);
-  const auto arch = cp.compress(v, d);
-
-  const auto expect_invalid = [&](std::span<const u8> a, u64 off, u64 cnt) {
-    try {
-      (void)cp.decompress_range(a, off, cnt);
-      FAIL() << "expected invalid_argument for off=" << off
-             << " cnt=" << cnt;
-    } catch (const error& e) {
-      EXPECT_EQ(e.code(), status::invalid_argument);
-    }
-  };
-  expect_invalid(arch, 1234, 0);           // zero-length
-  expect_invalid(arch, d.len(), 1);        // at the field end
-  expect_invalid(arch, d.len() + 7, 1);    // past the field end
-  expect_invalid(arch, 0, d.len() + 1);    // overrun
-  expect_invalid(arch, 5, ~u64{0});        // offset + count overflows u64
-  expect_invalid(arch, ~u64{0}, 2);
-
-  // Same contract on a plain v1/v2 archive — and validation must run
-  // before any decode: a corrupt *payload* still yields invalid_argument
-  // for an out-of-range request, not corrupt_archive.
-  pipeline<f32> plain(pipeline_config{});
-  const dims3 pd{40, 5, 1};
-  auto parch = plain.compress(smooth_field(pd, 5), pd);
-  chunked_pipeline<f32> pcp(pipeline_config{});
-  expect_invalid(parch, pd.len(), 1);
-  expect_invalid(parch, 10, 0);
-  parch[parch.size() / 2] ^= 0x40;  // damage the payload
-  expect_invalid(parch, pd.len() + 3, 4);
-  expect_invalid(parch, 5, ~u64{0});
-}
-
-TEST(Chunked, RangeOnPlainV2ArchiveSlicesFullDecode) {
-  const dims3 d{40, 5, 1};
-  pipeline<f32> plain(pipeline_config{});
-  const auto v = smooth_field(d, 5);
-  const auto arch = plain.compress(v, d);
-  chunked_pipeline<f32> cp(pipeline_config{});
-  const auto full = cp.decompress(arch);
-  const auto part = cp.decompress_range(arch, 30, 50);
-  ASSERT_EQ(part.size(), 50u);
-  for (u64 i = 0; i < 50; ++i) EXPECT_EQ(part[i], full[30 + i]);
-}
-
 TEST(Chunked, BitFlipDamagesOnlyItsChunk) {
   const dims3 d{256, 16, 6};
   chunked_options opt;
@@ -265,12 +187,13 @@ TEST(Chunked, BitFlipDamagesOnlyItsChunk) {
 
   // Random access to chunks 1 and 2 never reads chunk 0's bytes, so it
   // still succeeds and still matches the original data.
+  reader<f32> r(arch);
   const u64 lo = info.chunks[1].raw_offset;
   const u64 cnt = info.chunks[1].raw_len + info.chunks[2].raw_len;
-  const auto part = cp.decompress_range(arch, lo, cnt);
-  expect_within_bound(std::span<const f32>(v).subspan(lo, cnt), part, 1e-4);
+  expect_within_bound(std::span<const f32>(v).subspan(lo, cnt),
+                      r.read(lo, cnt), 1e-4);
   // ...while a range touching chunk 0 throws.
-  EXPECT_THROW((void)cp.decompress_range(arch, 0, 16), error);
+  EXPECT_THROW((void)r.read(0, 16), error);
 }
 
 TEST(Chunked, StreamingEqualsInMemoryCompression) {

@@ -23,6 +23,7 @@
 #include "fzmod/common/error.hh"
 #include "fzmod/common/rng.hh"
 #include "fzmod/core/archive_format.hh"
+#include "fzmod/core/reader.hh"
 #include "fzmod/core/snapshot.hh"
 #include "fzmod/core/stf_pipeline.hh"
 #include "fzmod/encoders/huffman.hh"
@@ -131,23 +132,89 @@ TEST(FuzzStf, CorruptedArchivesContained) {
   }
 }
 
-TEST(FuzzSnapshot, CorruptedTocContained) {
+/// Outcome of one hostile read: the decoded field, or the error status.
+struct read_outcome {
+  bool ok = false;
+  status code = status::ok;
+  std::vector<f32> data;
+};
+
+template <class F>
+read_outcome outcome_of(F&& read) {
+  read_outcome o;
+  try {
+    o.data = read();
+    o.ok = true;
+  } catch (const error& e) {
+    o.code = e.code();
+  }
+  return o;
+}
+
+TEST(FuzzSnapshot, MultiFieldMutationsFailClosed) {
+  // A snapshot_writer FZMF blob holding one plain v2 field and one v3
+  // chunk container, under seeded bit flips and truncations. Every read —
+  // fmt::select_field, the span reader open and the streaming
+  // reader::open_field — returns the clean field or throws a typed
+  // fzmod::error, and the span and streaming opens agree on the status.
+  const dims3 da{500}, db{64, 8, 6};
   core::snapshot_writer w;
-  const dims3 d{500};
-  w.add("a", base_field(d), d);
-  w.add("b", base_field(d), d);
+  w.add("a", base_field(da), da);
+  core::chunked_options copt;
+  copt.chunk_elems = 2 * 64 * 8;  // 3 chunks
+  w.set_chunking(copt);
+  w.add("b", base_field(db), db);
   const auto blob = w.finish();
+  ASSERT_TRUE(core::fmt::is_chunk_container(
+      core::snapshot_reader(blob).archive("b")));
+  core::reader_options ropt;
+  ropt.prefetch = 0;
+  ropt.jobs = 1;
+
+  const auto reads_of = [&](const std::vector<u8>& bytes,
+                            const char* name) {
+    std::vector<read_outcome> out;
+    out.push_back(outcome_of([&] {
+      return core::decompress_any<f32>(core::fmt::select_field(bytes, name));
+    }));
+    out.push_back(outcome_of([&] {
+      core::reader<f32> r(std::span<const u8>(bytes), std::string_view(name),
+                          ropt);
+      return r.read(0, r.size());
+    }));
+    out.push_back(outcome_of([&] {
+      auto src = [&bytes](u8* dst, u64 off, std::size_t len) {
+        std::memcpy(dst, bytes.data() + off, len);
+      };
+      auto r = core::reader<f32>::open_field(src, bytes.size(), name, ropt);
+      return r.read(0, r.size());
+    }));
+    return out;
+  };
+  const std::vector<f32> clean[2] = {reads_of(blob, "a")[0].data,
+                                     reads_of(blob, "b")[0].data};
+  ASSERT_EQ(clean[0].size(), da.len());
+  ASSERT_EQ(clean[1].size(), db.len());
+
   rng r(105);
-  for (int trial = 0; trial < 150; ++trial) {
+  for (int trial = 0; trial < 160; ++trial) {
     auto mutated = blob;
-    mutated[r.next_below(mutated.size())] ^=
-        static_cast<u8>(1u << r.next_below(8));
-    expect_contained([&] {
-      core::snapshot_reader reader(mutated);
-      std::vector<f32> out;
-      for (const auto& e : reader.entries()) out = reader.read(e.name);
-      return out;
-    });
+    if (trial % 4 == 3) {
+      mutated.resize(r.next_below(mutated.size()));  // truncation
+    } else {
+      mutated[r.next_below(mutated.size())] ^=
+          static_cast<u8>(1u << r.next_below(8));
+    }
+    for (int f = 0; f < 2; ++f) {
+      const auto got = reads_of(mutated, f == 0 ? "a" : "b");
+      for (const read_outcome& o : got) {
+        if (o.ok) {
+          EXPECT_EQ(o.data, clean[f]) << "trial " << trial;
+        }
+      }
+      EXPECT_EQ(got[1].ok, got[2].ok) << "trial " << trial;
+      EXPECT_EQ(got[1].code, got[2].code) << "trial " << trial;
+    }
   }
 }
 

@@ -1,10 +1,13 @@
-// Tests for the seekable reader (core/reader.hh): read() equality with
-// decompress_range on random extents, cache hit-rate under a zipfian
-// access trace, LRU eviction under a tiny byte budget, the sequential
-// prefetcher, corrupted-chunk isolation (sticky errors), `.fzx` sidecar
-// round-trip plus stale/forged index rejection, the chunk cursor,
-// streaming byte_source opens, plain v2 archives, range validation, and
-// concurrent readers (this test runs under TSan in CI).
+// Tests for the seekable reader (core/reader.hh), the library's one
+// random-access engine: read() equality with a full-decode slice on random
+// and chunk-boundary extents, cache hit-rate under a zipfian access
+// trace, LRU eviction under a tiny byte budget, the sequential prefetcher,
+// corrupted-chunk isolation (sticky errors), `.fzx` sidecar round-trip
+// plus stale/forged index rejection, the chunk cursor, streaming
+// byte_source opens, plain v2 archives (sealed body digest checked before
+// the LZ parser runs), range validation, and concurrent readers (this
+// test runs under TSan in CI, and under ASan+UBSan with the hostile-input
+// suites).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -81,33 +84,70 @@ TEST(Reader, RandomExtentsMatchFullDecodeSlice) {
       ASSERT_EQ(part[i], fx.full[off + i]) << "off=" << off << " i=" << i;
     }
   }
-  // Edge extents: single first/last element, whole field.
+  // Edge extents: single first/last element, whole field, chunk-interior
+  // (700+300 inside chunk 0 of 1024 elements), one exact chunk, and
+  // chunk-straddling runs.
   for (const auto& [off, cnt] :
        {std::pair<u64, u64>{0, 1},
         {fx.d.len() - 1, 1},
-        {0, fx.d.len()}}) {
+        {0, fx.d.len()},
+        {700, 300},
+        {fx.chunk_elems, fx.chunk_elems},
+        {fx.chunk_elems / 2, fx.chunk_elems},
+        {100, 2000}}) {
     const auto part = r.read(off, cnt);
+    ASSERT_EQ(part.size(), cnt);
     for (u64 i = 0; i < cnt; ++i) ASSERT_EQ(part[i], fx.full[off + i]);
   }
 }
 
-TEST(Reader, RangeValidationMatchesDecompressRange) {
+TEST(Reader, RangeValidationRejectsDegenerateRequests) {
+  // Zero-length ranges, offsets at or past the field end, overruns and
+  // offset + count overflowing u64 all throw invalid_argument before any
+  // decode — on a v3 container and on a plain v2 archive.
+  const auto expect_invalid = [](reader<f32>& r, u64 off, u64 cnt) {
+    try {
+      (void)r.read(off, cnt);
+      FAIL() << "expected invalid_argument for off=" << off
+             << " cnt=" << cnt;
+    } catch (const error& e) {
+      EXPECT_EQ(e.code(), status::invalid_argument) << e.what();
+    }
+  };
   fixture fx;
   reader<f32> r(fx.arch, quiet_opts());
   const u64 n = fx.d.len();
-  EXPECT_THROW((void)r.read(100, 0), error);       // zero-length
-  EXPECT_THROW((void)r.read(n, 1), error);         // offset at field end
-  EXPECT_THROW((void)r.read(n + 5, 1), error);     // offset past field end
-  EXPECT_THROW((void)r.read(0, n + 1), error);     // overrun
-  EXPECT_THROW((void)r.read(n - 1, 2), error);     // tail overrun
-  // offset + count u64 overflow must be caught, not wrap to a tiny range.
-  EXPECT_THROW((void)r.read(5, ~u64{0}), error);
-  EXPECT_THROW((void)r.read(~u64{0}, 2), error);
+  expect_invalid(r, 100, 0);         // zero-length
+  expect_invalid(r, n, 1);           // offset at field end
+  expect_invalid(r, n + 5, 1);       // offset past field end
+  expect_invalid(r, 0, n + 1);       // overrun
+  expect_invalid(r, n - 1, 2);       // tail overrun
+  expect_invalid(r, 5, ~u64{0});     // offset + count overflows u64
+  expect_invalid(r, ~u64{0}, 2);
   // Same requests keep throwing from chunks() too.
   EXPECT_THROW((void)r.chunks(100, 0), error);
   EXPECT_THROW((void)r.chunks(5, ~u64{0}), error);
   // Nothing above decoded anything.
   EXPECT_EQ(r.stats().misses, 0u);
+
+  // A plain v2 archive whose payload is damaged still answers a bad range
+  // with invalid_argument, not corrupt_archive: validation runs first.
+  pipeline<f32> plain(pipeline_config{});
+  const dims3 pd{40, 5, 1};
+  auto parch = plain.compress(smooth_field(pd, 5), pd);
+  reader<f32> pr(parch, quiet_opts());
+  expect_invalid(pr, pd.len(), 1);
+  expect_invalid(pr, 10, 0);
+  parch[parch.size() / 2] ^= 0x40;  // damage the payload
+  reader<f32> damaged(parch, quiet_opts());
+  expect_invalid(damaged, pd.len() + 3, 4);
+  expect_invalid(damaged, 5, ~u64{0});
+  try {
+    (void)damaged.read(0, 1);
+    FAIL() << "a damaged payload decoded";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::corrupt_archive) << e.what();
+  }
 }
 
 TEST(Reader, ZipfianTraceHitsCache) {
@@ -330,6 +370,33 @@ TEST(Reader, PlainV2ArchiveOpensAsOneChunk) {
   }
 }
 
+TEST(Reader, SealedBodyDigestCheckedBeforeLzParses) {
+  // An LZ-wrapped v2 archive carries a sealed digest of its stored body.
+  // The reader must check it before anything parses the LZ blob, so every
+  // stored-body flip reads as a body digest mismatch, never an LZ error.
+  const dims3 d{64, 16, 4};
+  pipeline_config cfg;
+  cfg.secondary = true;
+  pipeline<f32> plain(cfg);
+  const auto arch = plain.compress(smooth_field(d, 9), d);
+  ASSERT_TRUE(inspect_archive(arch).secondary);
+  const std::size_t body_at = sizeof(fmt::outer_header_v2);
+  for (const std::size_t at :
+       {body_at, body_at + 1, body_at + 7, (arch.size() + body_at) / 2,
+        arch.size() - 1}) {
+    auto bad = arch;
+    bad[at] ^= 0x04;
+    try {
+      reader<f32> r(bad, quiet_opts());
+      FAIL() << "damaged body at byte " << at << " opened";
+    } catch (const error& e) {
+      EXPECT_EQ(e.code(), status::corrupt_archive) << e.what();
+      EXPECT_NE(std::string(e.what()).find("body digest"), std::string::npos)
+          << "byte " << at << ": " << e.what();
+    }
+  }
+}
+
 TEST(Reader, StreamingByteSourceFetchesOnDemand) {
   fixture fx;
   std::atomic<u64> bytes_pulled{0};
@@ -404,7 +471,7 @@ TEST(Reader, ConcurrentReadersShareTheCache) {
   EXPECT_EQ(r.stats().reads, 240u);
 }
 
-TEST(Reader, SnapshotMakeReaderMatchesReadRange) {
+TEST(Reader, SnapshotMakeReaderMatchesFullReadSlice) {
   const dims3 d{64, 8, 10};
   snapshot_writer w;
   chunked_options copt;
@@ -415,12 +482,13 @@ TEST(Reader, SnapshotMakeReaderMatchesReadRange) {
   const auto blob = w.finish();
 
   snapshot_reader snap(blob);
-  const auto via_range = snap.read_range("density", 700, 300);
+  const auto full = snap.read("density");
   auto r = snap.make_reader("density", quiet_opts());
-  const auto via_reader = r.read(700, 300);
-  ASSERT_EQ(via_range.size(), via_reader.size());
-  for (u64 i = 0; i < 300; ++i) ASSERT_EQ(via_range[i], via_reader[i]);
-  EXPECT_THROW((void)snap.read_range("density", 700, 0), error);
+  EXPECT_EQ(r.nchunks(), 5u);
+  const auto part = r.read(700, 300);
+  ASSERT_EQ(part.size(), 300u);
+  for (u64 i = 0; i < 300; ++i) ASSERT_EQ(part[i], full[700 + i]);
+  EXPECT_THROW((void)r.read(700, 0), error);
   EXPECT_THROW((void)snap.make_reader("missing"), error);
 }
 

@@ -1,10 +1,15 @@
-// Integration tests: multi-field snapshot container.
+// Integration tests: in-memory multi-field snapshots. A snapshot blob is
+// an FZMF multi-field container, so these also pin the shared FZMF
+// builders: the field-name rule, the field-count floor, and directory
+// forgeries the structural screening must reject with digests off.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 
 #include "fzmod/common/rng.hh"
+#include "fzmod/core/reader.hh"
 #include "fzmod/core/snapshot.hh"
 #include "fzmod/metrics/metrics.hh"
 
@@ -47,6 +52,20 @@ TEST(Snapshot, RoundTripsMultipleFields) {
             metrics::f32_bound_slack(1e-4 * ea.range, ea.range));
   EXPECT_LE(eb_.max_abs_err,
             metrics::f32_bound_slack(1e-4 * eb_.range, eb_.range));
+
+  // The blob is an FZMF container: every multi-field consumer reads it,
+  // and each stored archive is the single-field compression's bytes.
+  ASSERT_TRUE(fmt::is_multi_container(blob));
+  const auto sel = fmt::select_field(blob, "pressure");
+  EXPECT_EQ(sel.data(), r.archive("pressure").data());
+  EXPECT_EQ(sel.size(), r.archive("pressure").size());
+  pipeline<f32> solo(pipeline_config::preset_default({1e-4, eb_mode::rel}));
+  EXPECT_EQ(std::vector<u8>(sel.begin(), sel.end()), solo.compress(b, db));
+  auto src = [&blob](u8* dst, u64 off, std::size_t len) {
+    std::memcpy(dst, blob.data() + off, len);
+  };
+  auto rs = reader<f32>::open_field(src, blob.size(), "temperature");
+  EXPECT_EQ(rs.read(0, da.len()), ra);
 }
 
 TEST(Snapshot, PerFieldPipelineOverride) {
@@ -92,11 +111,34 @@ TEST(Snapshot, DuplicateNamesRejected) {
   EXPECT_THROW(w.add("x", field_of(d, 6), d), error);
 }
 
-TEST(Snapshot, BadNamesRejected) {
+void expect_invalid_name(snapshot_writer& w, std::string_view name) {
   const dims3 d{10};
+  try {
+    w.add(name, field_of(d, 7), d);
+    FAIL() << "bad name accepted (" << name.size() << " bytes)";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::invalid_argument) << e.what();
+    EXPECT_NE(std::string(e.what()).find("name"), std::string::npos);
+  }
+}
+
+TEST(Snapshot, BadNamesRejected) {
+  // The FZMF name rule: 1..39 bytes, no NUL. The parser reads names as C
+  // strings, so "t\0x" and "t\0y" would both read back as "t".
   snapshot_writer w;
-  EXPECT_THROW(w.add("", field_of(d, 7), d), error);
-  EXPECT_THROW(w.add(std::string(300, 'a'), field_of(d, 7), d), error);
+  expect_invalid_name(w, "");
+  expect_invalid_name(w, std::string(300, 'a'));
+  expect_invalid_name(w, std::string(fmt::multi_name_bytes, 'a'));
+  expect_invalid_name(w, std::string_view("t\0x", 3));
+  expect_invalid_name(w, std::string_view("t\0y", 3));
+  EXPECT_EQ(w.field_count(), 0u);  // nothing was compressed or kept
+
+  const std::string longest(fmt::multi_name_bytes - 1, 'n');
+  w.add(longest, field_of(dims3{10}, 7), dims3{10});
+  const auto blob = w.finish();
+  snapshot_reader r(blob);
+  EXPECT_TRUE(r.contains(longest));
+  EXPECT_EQ(r.read(longest).size(), 10u);
 }
 
 TEST(Snapshot, UnknownFieldThrows) {
@@ -123,22 +165,39 @@ TEST(Snapshot, TruncatedBlobRejected) {
   EXPECT_THROW(snapshot_reader r(blob), error);
 }
 
-// Forged FZSN TOCs. Layout: header {u32 magic, u32 count, u64 toc_bytes},
-// then per field {u64 dims[3], u64 offset, u64 bytes, u8 type,
-// u8 name_len} and the name.
-constexpr std::size_t snap_count_at = 4;
-constexpr std::size_t snap_first_offset_at = 16 + 3 * sizeof(u64);
+// Forged FZMF directories with digest checks off, so only the structural
+// screening stands between the forgery and an out-of-bounds slice.
+struct verify_off {
+  verify_off() { fmt::set_verify_enabled(false); }
+  ~verify_off() { fmt::set_verify_enabled(true); }
+};
 
-std::vector<u8> one_field_snapshot() {
+std::vector<u8> two_field_snapshot() {
   snapshot_writer w;
   w.add("f", field_of(dims3{500}, 12), dims3{500});
+  w.add("g", field_of(dims3{300}, 13), dims3{300});
   return w.finish();
+}
+
+/// Byte offset of directory entry `i` in a two-field container.
+std::size_t dir_entry_at(const std::vector<u8>& blob, std::size_t i) {
+  return blob.size() - sizeof(u64) - (2 - i) * sizeof(fmt::field_dir_entry);
 }
 
 void expect_corrupt(const std::vector<u8>& blob) {
   try {
     snapshot_reader r(blob);
-    FAIL() << "forged TOC accepted";
+    FAIL() << "forged directory accepted";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::corrupt_archive) << e.what();
+  }
+  // The streaming open runs the same steps and must agree.
+  auto src = [&blob](u8* dst, u64 off, std::size_t len) {
+    std::memcpy(dst, blob.data() + off, len);
+  };
+  try {
+    (void)reader<f32>::open_field(src, blob.size(), "g");
+    FAIL() << "forged directory accepted by the streaming open";
   } catch (const error& e) {
     EXPECT_EQ(e.code(), status::corrupt_archive) << e.what();
   }
@@ -146,23 +205,47 @@ void expect_corrupt(const std::vector<u8>& blob) {
 
 TEST(Snapshot, ForgedWrappingExtentRejected) {
   // offset + bytes wraps to 8: a naive sum check accepts it and the
-  // archive span would start 8 bytes before the blob.
-  auto blob = one_field_snapshot();
+  // archive span would start 8 bytes before the payload.
+  verify_off off;
+  auto blob = two_field_snapshot();
+  const std::size_t at = dir_entry_at(blob, 1) +
+                         offsetof(fmt::field_dir_entry, archive_offset);
   const u64 offset = ~u64{0} - 7;
   const u64 bytes = 16;
-  std::memcpy(blob.data() + snap_first_offset_at, &offset, sizeof(offset));
-  std::memcpy(blob.data() + snap_first_offset_at + sizeof(u64), &bytes,
-              sizeof(bytes));
+  std::memcpy(blob.data() + at, &offset, sizeof(offset));
+  std::memcpy(blob.data() + at + sizeof(u64), &bytes, sizeof(bytes));
   expect_corrupt(blob);
 }
 
 TEST(Snapshot, ForgedHugeCountRejected) {
-  // A count the TOC cannot hold must fail as a corrupt archive, not as an
-  // allocation failure while reserving entries.
-  auto blob = one_field_snapshot();
-  const u32 count = 0xFFFFFFFFu;
-  std::memcpy(blob.data() + snap_count_at, &count, sizeof(count));
+  // A field count past the ceiling must fail as a corrupt archive, not
+  // as an allocation failure or an out-of-range directory read.
+  verify_off off;
+  auto blob = two_field_snapshot();
+  const u16 count = static_cast<u16>(fmt::multi_max_fields + 1);
+  std::memcpy(blob.data() + offsetof(fmt::multi_header, nfields), &count,
+              sizeof(count));
   expect_corrupt(blob);
+}
+
+TEST(Snapshot, DamagedFieldIsReportedByName) {
+  auto blob = two_field_snapshot();
+  snapshot_reader clean(blob);
+  const auto& g = clean.entries()[1];
+  blob[g.offset + g.bytes / 2] ^= 0x10;
+  snapshot_reader r(blob);  // header and directory are intact
+  EXPECT_TRUE(r.verify("f").ok());
+  EXPECT_FALSE(r.verify("g").ok());
+  EXPECT_FALSE(r.verify("g").body_ok);  // the directory digest disagrees
+  EXPECT_FALSE(r.verify_all());
+  EXPECT_EQ(r.read("f").size(), 500u);
+  try {
+    (void)r.read("g");
+    FAIL() << "damaged field decoded";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::corrupt_archive);
+    EXPECT_NE(std::string(e.what()).find("'g'"), std::string::npos);
+  }
 }
 
 TEST(Snapshot, FinishIsNonDestructive) {
@@ -178,11 +261,15 @@ TEST(Snapshot, FinishIsNonDestructive) {
   EXPECT_EQ(r2.entries().size(), 2u);
 }
 
-TEST(Snapshot, EmptySnapshotRoundTrips) {
+TEST(Snapshot, EmptySnapshotRejected) {
+  // An FZMF container holds at least one field.
   snapshot_writer w;
-  const auto blob = w.finish();
-  snapshot_reader r(blob);
-  EXPECT_TRUE(r.entries().empty());
+  try {
+    (void)w.finish();
+    FAIL() << "empty snapshot serialized";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::invalid_argument) << e.what();
+  }
 }
 
 }  // namespace

@@ -288,6 +288,37 @@ TEST_F(StreamingFiles, FieldSelectionErrors) {
                error);
 }
 
+TEST_F(StreamingFiles, FieldNameRuleMatchesTheParser) {
+  // The parser reads field names as C strings, so names with an embedded
+  // NUL ("t\0x", "t\0y") would read back as one duplicated name "t". The
+  // writer rejects them — and 40-byte names — before writing anything.
+  const dims3 d{32, 8, 2};
+  const auto v = smooth_field(d);
+  const std::string a = store("a.f32", v), b = store("b.f32", v);
+  pipeline_config cfg = pipeline_config::preset_default({1e-4, eb_mode::rel});
+  const std::vector<std::vector<field_input>> bad{
+      {{std::string("t\0x", 3), a, d}, {std::string("t\0y", 3), b, d}},
+      {{std::string(fmt::multi_name_bytes, 'n'), a, d}},
+  };
+  for (const auto& fields : bad) {
+    try {
+      (void)compress_files_stream<f32>(fields, path("bad.fzmod"), cfg);
+      FAIL() << "bad field name accepted";
+    } catch (const error& e) {
+      EXPECT_EQ(e.code(), status::invalid_argument) << e.what();
+    }
+    EXPECT_FALSE(fs::exists(path("bad.fzmod")));
+  }
+  // The longest legal name round-trips.
+  const std::string longest(fmt::multi_name_bytes - 1, 'n');
+  const std::vector<field_input> ok{{longest, a, d}};
+  (void)compress_files_stream<f32>(ok, path("ok.fzmod"), cfg);
+  const auto bytes = data::read_file(path("ok.fzmod"));
+  EXPECT_EQ(reader<f32>(std::span<const u8>(bytes), std::string_view(longest))
+                .size(),
+            d.len());
+}
+
 TEST_F(StreamingFiles, MultiFieldDamageIsolatedToOneField) {
   const dims3 d{32, 16, 4};
   const auto u = smooth_field(d, 1), v = smooth_field(d, 2);
