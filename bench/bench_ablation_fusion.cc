@@ -33,9 +33,9 @@ int main() {
     }
   }
   std::printf("\nExpected shape: the modular pipeline launches more "
-              "kernels (separate re-centre pass,\nseparate codec stages, "
-              "archive framing) and trails the fused baseline in "
-              "throughput,\nwhile producing comparable ratios — the cost "
-              "of composability the paper names.\n");
+              "kernels (separate predictor\nand codec stages, archive "
+              "framing) and trails the fused baseline in throughput,\n"
+              "while producing comparable ratios — the cost of "
+              "composability the paper names.\n");
   return 0;
 }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "fzmod/common/bits.hh"
 #include "fzmod/common/rng.hh"
 #include "fzmod/encoders/fixed_length.hh"
 #include "fzmod/encoders/fzg.hh"
@@ -100,20 +101,87 @@ void BM_ExclusiveScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ExclusiveScan)->UseRealTime();
 
-void BM_BitshuffleFwd(benchmark::State& state) {
-  const auto codes = make_codes(1 << 20, 3.0);
-  auto dev = to_device(codes);
-  device::buffer<u32> planes(kernels::bitshuffle_words(codes.size()),
-                             device::space::device);
+// Bitshuffle tile bodies, production vs the per-bit reference, over the
+// symbols the FZG codec shuffles: codes re-centred around the radius and
+// zigzagged (small magnitudes, a few planes in use). One thread walks
+// every tile, so the rows time the bodies without the pool.
+std::vector<u16> make_symbols(std::size_t n, f64 spread) {
+  auto symbols = make_codes(n, spread);
+  for (auto& c : symbols) {
+    c = c ? static_cast<u16>(zigzag_encode(static_cast<i32>(c) - 512) + 1)
+          : u16{0};
+  }
+  return symbols;
+}
+
+template <class Fwd>
+void run_bitshuffle_fwd(benchmark::State& state, Fwd fwd) {
+  const auto symbols = make_symbols(1 << 20, 3.0);
+  const std::size_t n = symbols.size();
+  std::vector<u32> planes(kernels::bitshuffle_words(n));
   for (auto _ : state) {
-    device::stream s;
-    kernels::bitshuffle_fwd_async(dev, planes, s);
-    s.sync();
+    for (std::size_t t = 0; t < kernels::bitshuffle_tiles(n); ++t) {
+      fwd(symbols.data() + t * kernels::bitshuffle_tile,
+          std::min(kernels::bitshuffle_tile,
+                   n - t * kernels::bitshuffle_tile),
+          planes.data() + t * kernels::bitshuffle_words_per_tile);
+    }
+    benchmark::DoNotOptimize(planes.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
-                          static_cast<i64>(codes.size() * 2));
+                          static_cast<i64>(n * 2));
+}
+
+template <class Inv>
+void run_bitshuffle_inv(benchmark::State& state, Inv inv) {
+  const auto symbols = make_symbols(1 << 20, 3.0);
+  const std::size_t n = symbols.size();
+  std::vector<u32> planes(kernels::bitshuffle_words(n));
+  for (std::size_t t = 0; t < kernels::bitshuffle_tiles(n); ++t) {
+    kernels::bitshuffle_tile_fwd_reference(
+        symbols.data() + t * kernels::bitshuffle_tile,
+        std::min(kernels::bitshuffle_tile, n - t * kernels::bitshuffle_tile),
+        planes.data() + t * kernels::bitshuffle_words_per_tile);
+  }
+  std::vector<u16> out(n);
+  for (auto _ : state) {
+    for (std::size_t t = 0; t < kernels::bitshuffle_tiles(n); ++t) {
+      inv(planes.data() + t * kernels::bitshuffle_words_per_tile,
+          std::min(kernels::bitshuffle_tile,
+                   n - t * kernels::bitshuffle_tile),
+          out.data() + t * kernels::bitshuffle_tile);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(n * 2));
+}
+
+void BM_BitshuffleFwd(benchmark::State& state) {
+  run_bitshuffle_fwd(state, [](const u16* in, std::size_t count, u32* out) {
+    (void)kernels::bitshuffle_tile_fwd(in, count, out);
+  });
 }
 BENCHMARK(BM_BitshuffleFwd)->UseRealTime();
+
+void BM_BitshuffleFwdReference(benchmark::State& state) {
+  run_bitshuffle_fwd(state, &kernels::bitshuffle_tile_fwd_reference);
+}
+BENCHMARK(BM_BitshuffleFwdReference)->UseRealTime();
+
+void BM_BitshuffleInv(benchmark::State& state) {
+  run_bitshuffle_inv(state, [](const u32* in, std::size_t count, u16* out) {
+    kernels::bitshuffle_tile_inv(in, count, out);
+  });
+}
+BENCHMARK(BM_BitshuffleInv)->UseRealTime();
+
+void BM_BitshuffleInvReference(benchmark::State& state) {
+  run_bitshuffle_inv(state, &kernels::bitshuffle_tile_inv_reference);
+}
+BENCHMARK(BM_BitshuffleInvReference)->UseRealTime();
 
 // Lorenzo compress, production body vs the per-element reference. A 1-D
 // field is one row, which the production kernel splits into block-sized
@@ -358,6 +426,28 @@ void BM_FzgEncode(benchmark::State& state) {
                           static_cast<i64>(codes.size() * 2));
 }
 BENCHMARK(BM_FzgEncode)->UseRealTime();
+
+void BM_FzgDecode(benchmark::State& state) {
+  const auto codes = make_codes(1 << 20, 3.0);
+  auto dev = to_device(codes);
+  encoders::fzg_result enc;
+  {
+    device::stream s;
+    encoders::fzg_encode_async(dev, 512, enc, s);
+    s.sync();
+  }
+  device::buffer<u16> out(codes.size(), device::space::device);
+  for (auto _ : state) {
+    device::stream s;
+    encoders::fzg_decode_async(enc, out, s);
+    s.sync();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(codes.size() * 2));
+}
+BENCHMARK(BM_FzgDecode)->UseRealTime();
 
 void BM_LzCompress(benchmark::State& state) {
   const auto codes = make_codes(1 << 19, 2.0);

@@ -113,6 +113,7 @@ class cuszp2 final : public compressor {
                 overflow = true;
                 break;
               }
+              // llrint, not round_half_even: this guard admits |v| > 2^51.
               q[i - lo] = std::llrint(scaled);
             }
             if (overflow) {

@@ -21,6 +21,7 @@
 #include "fzmod/kernels/compact.hh"
 #include "fzmod/kernels/scan.hh"
 #include "fzmod/kernels/stats.hh"
+#include "fzmod/predictors/quant_field.hh"
 
 namespace fzmod::baselines {
 namespace {
@@ -96,7 +97,7 @@ class fzgpu final : public compressor {
                 vo->push_back({i, static_cast<f64>(in[i])});
                 q[i] = 0;
               } else {
-                q[i] = static_cast<i32>(std::llrint(scaled));
+                q[i] = static_cast<i32>(predictors::round_half_even(scaled));
               }
             }
           });

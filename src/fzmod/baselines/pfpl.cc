@@ -22,6 +22,7 @@
 #include "fzmod/device/runtime.hh"
 #include "fzmod/kernels/chunked_hash.hh"
 #include "fzmod/kernels/stats.hh"
+#include "fzmod/predictors/quant_field.hh"
 
 namespace fzmod::baselines {
 namespace {
@@ -144,7 +145,7 @@ class pfpl final : public compressor {
           i64 q = 0;
           bool ok = std::fabs(scaled) < static_cast<f64>(q_limit);
           if (ok) {
-            q = std::llrint(scaled);
+            q = static_cast<i64>(predictors::round_half_even(scaled));
             // The guarantee check: reconstruction must honour the bound
             // in f32 arithmetic, since that is what the consumer reads.
             const f32 rec =

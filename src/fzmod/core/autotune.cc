@@ -50,6 +50,7 @@ autotune_report autotune(std::span<const f32> data, dims3 dims,
     const f64 a = static_cast<f64>(data[i - 1]) * r_ebx2;
     const f64 b = static_cast<f64>(data[i]) * r_ebx2;
     if (!(std::fabs(a) < 9e15 && std::fabs(b) < 9e15)) continue;
+    // llrint, not round_half_even: a cold loop whose guard admits > 2^51.
     const i64 delta = std::llrint(b) - std::llrint(a);
     ++samples;
     within_radius += (delta > -radius && delta < radius);

@@ -77,7 +77,8 @@ std::vector<u8> stf_compress(std::span<const f32> data, dims3 dims,
                       {i, static_cast<f64>(ip[i])});
                   qp[i] = 0;
                 } else {
-                  qp[i] = static_cast<i32>(std::llrint(scaled));
+                  qp[i] = static_cast<i32>(
+                      predictors::round_half_even(scaled));
                 }
               }
             });

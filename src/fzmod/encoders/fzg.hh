@@ -1,12 +1,23 @@
 // FZModules — FZ-GPU's bitshuffle + dictionary lossless encoder
 // (Zhang et al., HPDC'23), adapted as a modular FZModules codec.
 //
-// Stage shape:
-//   1. re-centre + zigzag the quantization codes so magnitudes are small;
-//   2. bitshuffle tiles into bit-plane order (kernels/bitshuffle.hh) — the
-//      high planes become all-zero machine words;
-//   3. dictionary stage: a bitmap marks nonzero u32 words, only nonzero
-//      words are stored.
+// Format: the codes are re-centred and zigzagged (so magnitudes are
+// small), bitshuffled in 512-symbol tiles into bit-plane order
+// (kernels/bitshuffle.hh) — the high planes become all-zero machine words
+// — and a dictionary keeps a bitmap of nonzero plane words followed by
+// only those words.
+//
+// Like FZ-GPU, encode and decode each run as one kernel:
+//   encode, pass 1: each tile is re-centred in registers, transposed, and
+//     writes its 8 bitmap words, its nonzero plane words (to scratch) and
+//     their count; an exclusive scan of the counts places the tiles;
+//   encode, pass 2: each tile copies its nonzero words to its offset.
+//   decode: the bitmap's population is checked against `packed_words`
+//     before the packed stream is read; each tile then gathers its words,
+//     inverse-transposes them, un-centres and stores its codes.
+// The re-centring is a per-symbol transform of the tile bodies: the fused
+// FZ-GPU baseline, whose symbols are already centred, uses the identity
+// through fzg_pack_async / fzg_unpack_async.
 //
 // The whole codec is device-resident — this is the encoder FZMod-Speed
 // swaps in to avoid the D2H transfer + CPU Huffman of FZMod-Default.
@@ -45,7 +56,9 @@ void fzg_decode_async(const fzg_result& enc, device::buffer<u16>& codes,
 /// Lower-level entry points operating on already-centred (small-magnitude)
 /// u16 symbols — the fused FZ-GPU baseline performs its own re-centring
 /// inside its prediction kernel and shares the shuffle+dictionary core
-/// through these.
+/// through these. Decode entry points throw corrupt_archive (at the call
+/// or at the stream's sync) on a bitmap size, packed-word count or bitmap
+/// population that does not match the payload.
 void fzg_pack_async(const device::buffer<u16>& symbols, fzg_result& out,
                     device::stream& s);
 void fzg_unpack_async(const fzg_result& enc, device::buffer<u16>& symbols,

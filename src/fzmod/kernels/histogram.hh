@@ -6,17 +6,17 @@
 //  - `standard`: classic privatized histogram — each block counts into a
 //    block-local array, then the partials are reduced.
 //  - `top-k`: a sparsity-aware variant that first identifies the k most
-//    frequent symbols from a sample, counts those on a dedicated fast path
-//    (contiguous counters, no scatter), and routes the remaining cold
-//    symbols through the standard path. It wins when the code distribution
-//    is highly concentrated — which better predictors (the spline
-//    interpolator) produce, hence FZMod-Quality pairs spline + top-k.
+//    frequent symbols from a sample and gives them contiguous counter
+//    slots ahead of the cold bins (no scatter for the hot symbols). It
+//    wins when the code distribution is highly concentrated — which
+//    better predictors (the spline interpolator) produce, hence
+//    FZMod-Quality pairs spline + top-k.
 //
 // Both produce the exact same counts; only the work distribution differs.
 #pragma once
 
 #include <algorithm>
-#include <array>
+#include <mutex>
 #include <vector>
 
 #include "fzmod/device/runtime.hh"
@@ -109,9 +109,9 @@ inline void histogram_reference_async(const device::buffer<u16>& codes,
 }
 
 /// Top-k histogram: sample ~1% of the input to nominate the k hottest
-/// symbols, count those via a tiny direct-mapped table (the fast path a GPU
-/// would keep in registers/shared memory), and fall back to privatized
-/// bins for everything else. Output counts are exact.
+/// symbols, then count every symbol through a slot map with the hot slots
+/// first (the tiny table a GPU would keep in registers/shared memory) and
+/// the cold bins after them. Output counts are exact.
 inline void histogram_topk_async(const device::buffer<u16>& codes,
                                  device::buffer<u32>& bins,
                                  device::stream& s, u32 k = 8) {
@@ -140,44 +140,54 @@ inline void histogram_topk_async(const device::buffer<u16>& codes,
       hot.push_back(static_cast<u16>(it - sample_counts.begin()));
       *it = 0;
     }
-    // Direct-mapped lookup: symbol -> hot slot (or k = cold).
-    std::vector<u8> slot_of(nbins, static_cast<u8>(hot.size()));
-    for (std::size_t hk = 0; hk < hot.size(); ++hk) {
-      slot_of[hot[hk]] = static_cast<u8>(hk);
+    // Slot map: hot symbol -> its slot in [0, h), any other symbol ->
+    // h + symbol. Counting never branches on hot or cold.
+    const std::size_t h = hot.size();
+    const std::size_t nslots = h + nbins;
+    std::vector<u32> slot_of(nbins);
+    for (std::size_t sym = 0; sym < nbins; ++sym) {
+      slot_of[sym] = static_cast<u32>(h + sym);
+    }
+    for (std::size_t hk = 0; hk < h; ++hk) {
+      slot_of[hot[hk]] = static_cast<u32>(hk);
     }
 
-    // Phase 2: exact counting. Hot symbols hit a handful of contiguous
-    // counters — on a GPU these live in registers/shared memory and dodge
-    // the global-atomic contention that throttles the standard histogram
-    // on heavily repeating inputs (the effect cuSZ-i exploits). On this
-    // CPU substrate there is no atomic contention, so the module is at
-    // parity on concentrated inputs and slower on dispersed ones (where
-    // it should not be selected anyway — see bench_ablation_histogram);
-    // the structural difference and the concentration-based selection
-    // criterion are what carry over.
+    // Phase 2: exact counting into 4 interleaved counter banks per block,
+    // as histogram_async does, so repeats of one hot symbol do not chain
+    // on one counter. On a GPU the hot slots live in registers/shared
+    // memory and dodge the global-atomic contention that throttles the
+    // standard histogram on heavily repeating inputs (the effect cuSZ-i
+    // exploits). On this CPU substrate there is no atomic contention, so
+    // the module costs one slot-map load per symbol more than the
+    // standard one (see bench_ablation_histogram); the structural
+    // difference and the concentration-based selection criterion are what
+    // carry over.
     const std::size_t block = rt.default_block() * 4;
     const std::size_t nblocks = (n + block - 1) / block;
     std::mutex merge_mu;
     rt.pool().parallel_for(nblocks, 1, [&](std::size_t blo, std::size_t bhi) {
-      std::array<u32, 16> hot_counts{};
-      std::vector<u32> cold(nbins, 0);
+      std::vector<u32> local(nslots * 4, 0);
+      u32* b0 = local.data();
+      u32* b1 = b0 + nslots;
+      u32* b2 = b1 + nslots;
+      u32* b3 = b2 + nslots;
+      const u32* slot = slot_of.data();
       for (std::size_t b = blo; b < bhi; ++b) {
         const std::size_t end = std::min(n, (b + 1) * block);
-        for (std::size_t i = b * block; i < end; ++i) {
-          const u16 sym = in[i];
-          const u8 slot = slot_of[sym];
-          if (slot < hot.size()) {
-            hot_counts[slot]++;
-          } else {
-            cold[sym]++;
-          }
+        std::size_t i = b * block;
+        for (; i + 4 <= end; i += 4) {
+          b0[slot[in[i + 0]]]++;
+          b1[slot[in[i + 1]]]++;
+          b2[slot[in[i + 2]]]++;
+          b3[slot[in[i + 3]]]++;
         }
+        for (; i < end; ++i) b0[slot[in[i]]]++;
       }
       std::lock_guard lk(merge_mu);
-      for (std::size_t hk = 0; hk < hot.size(); ++hk) {
-        out[hot[hk]] += hot_counts[hk];
+      for (std::size_t j = 0; j < nslots; ++j) {
+        const u32 c = b0[j] + b1[j] + b2[j] + b3[j];
+        out[j < h ? hot[j] : j - h] += c;
       }
-      for (std::size_t sym = 0; sym < nbins; ++sym) out[sym] += cold[sym];
     });
   });
 }

@@ -260,10 +260,13 @@ struct quantize_visitor {
       value_outlier(idx, x);
       return;
     }
-    const i64 c = std::llrint((x - pred) * r_ebx2);
+    // Select on the rounded double: a difference beyond 2^51 (pred may
+    // interpolate raw value outliers) or a NaN fails the range test and
+    // takes outlier(), as the reference's llrint result INT64_MIN does.
+    const f64 c = round_half_even((x - pred) * r_ebx2);
     if (c > -radius && c < radius) {
-      codes[idx] = static_cast<u16>(c + radius);
-      rec[idx] = pred + static_cast<f64>(c) * ebx2;
+      codes[idx] = static_cast<u16>(static_cast<i32>(c) + radius);
+      rec[idx] = pred + c * ebx2;
     } else {
       outlier(idx, scaled);
     }
@@ -278,7 +281,7 @@ struct quantize_visitor {
 
   // Prediction failed: fall back to lattice-exact storage.
   [[gnu::noinline]] void outlier(std::size_t idx, f64 scaled) {
-    const i64 q = std::llrint(scaled);
+    const i64 q = static_cast<i64>(round_half_even(scaled));
     codes[idx] = 0;
     rec[idx] = static_cast<f64>(q) * ebx2;
     outliers.push_back({static_cast<u64>(idx), q});
@@ -433,7 +436,7 @@ void interp_compress_async(const device::buffer<T>& data, dims3 dims,
         rec[idx] = x;
         anchors.lattice.push_back(0);
       } else {
-        const i64 q = std::llrint(scaled);
+        const i64 q = static_cast<i64>(round_half_even(scaled));
         rec[idx] = static_cast<f64>(q) * ebx2;
         anchors.lattice.push_back(static_cast<i32>(q));
       }

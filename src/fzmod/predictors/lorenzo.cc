@@ -124,7 +124,7 @@ void lorenzo_compress_async(const device::buffer<T>& data, dims3 dims,
                                  static_cast<f64>(value_outlier_limit));
               idx[cnt] = i;
               cnt += oob;
-              q[i] = oob ? 0 : static_cast<i32>(std::llrint(scaled));
+              q[i] = static_cast<i32>(oob ? 0.0 : round_half_even(scaled));
             }
             for (std::size_t j = 0; j < cnt; ++j) {
               local.emplace_back(idx[j], static_cast<f64>(in[idx[j]]));

@@ -32,6 +32,17 @@ inline constexpr int default_radius = 512;
 /// comfortably in i32. Values beyond it are stored raw.
 inline constexpr i64 value_outlier_limit = i64{1} << 27;
 
+/// Round to nearest, ties to even: what `std::llrint` returns under the
+/// default rounding mode, without its out-of-line libm call. Adding
+/// 1.5 * 2^52 leaves no fraction bits, so the one rounding of the sum is
+/// the rounding of `v`, and subtracting again is exact; that holds for
+/// |v| <= 2^51, which a value_outlier_limit guard ensures. Callers select
+/// on the result (or on their guard) before converting to an integer, so
+/// NaN, Inf and out-of-range values never reach a float-to-int cast.
+[[nodiscard]] inline f64 round_half_even(f64 v) {
+  return (v + 0x1.8p52) - 0x1.8p52;
+}
+
 struct quant_field {
   device::buffer<u16> codes;                 // length dims.len(), device
   device::buffer<kernels::outlier> outliers; // device, first n_outliers used

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "fzmod/common/rng.hh"
@@ -487,6 +488,77 @@ TEST(InterpReference, HostileQuantFieldPinsPrecedence) {
   EXPECT_NE(prod[coded], 9 * ebx2);
   EXPECT_EQ(prod[anchor_int], 14 * ebx2);  // lattice: 64 + 0 - 50
   EXPECT_EQ(prod[anchor_vo], 4.5e9);
+}
+
+TEST(InterpReference, HalfLatticeTiesMatchReference) {
+  // Values x = (k + 1/2) * ebx2 with a power-of-two ebx2: every anchor
+  // rounds an exact tie, and interpolated predictions of such values land
+  // the quantized differences on ties too.
+  const f64 ebx2 = 0x1p-6;
+  for (const dims3 d : {dims3{40000}, dims3{129, 67}, dims3{64, 48, 20}}) {
+    rng r(66);
+    std::vector<f32> v(d.len());
+    for (std::size_t z = 0; z < d.z; ++z) {
+      for (std::size_t y = 0; y < d.y; ++y) {
+        for (std::size_t x = 0; x < d.x; ++x) {
+          const f64 k = std::floor(
+              std::sin(0.01 * static_cast<f64>(x)) *
+                  std::cos(0.02 * static_cast<f64>(y)) * 500.0 +
+              3.0 * static_cast<f64>(z) +
+              static_cast<f64>(r.next_below(5)) - 2.0);
+          v[d.at(x, y, z)] = static_cast<f32>((k + 0.5) * ebx2);
+        }
+      }
+    }
+    for (std::size_t i = 7; i < v.size(); i += 997) {
+      v[i] += static_cast<f32>(4096 * ebx2);
+    }
+    for (const int radius : {default_radius, 16384}) {
+      expect_equivalent(v, d, ebx2, radius);
+    }
+  }
+}
+
+TEST(InterpReference, NonFiniteNeighboursTakeOutlierPath) {
+  // NaN and Inf inputs are stored raw; a target whose prediction reads
+  // one gets a NaN or infinite difference, which must fail the range test
+  // and store the point as an integer outlier, exactly as the reference's
+  // llrint (INT64_MIN) sends it there.
+  const dims3 d{4096};
+  std::vector<f32> v(d.len());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<f32>(std::sin(0.01 * static_cast<f64>(i)) * 30);
+  }
+  // Odd multiples of 8: lattice points of every level finer than h = 8.
+  const std::size_t nan_at = 104, inf_at = 1000, ninf_at = 2056;
+  v[nan_at] = std::numeric_limits<f32>::quiet_NaN();
+  v[inf_at] = std::numeric_limits<f32>::infinity();
+  v[ninf_at] = -std::numeric_limits<f32>::infinity();
+  const f64 ebx2 = 2e-3;
+  encoded prod, ref;
+  encode(v, d, ebx2, default_radius, false, prod);
+  encode(v, d, ebx2, default_radius, true, ref);
+  EXPECT_EQ(std::memcmp(prod.field.codes.data(), ref.field.codes.data(),
+                        d.len() * sizeof(u16)),
+            0);
+  EXPECT_EQ(prod.anchors.lattice, ref.anchors.lattice);
+  EXPECT_EQ(sorted_outliers(prod.field), sorted_outliers(ref.field));
+  const auto vo_index = [](const quant_field& f) {
+    std::vector<u64> idx;
+    for (const auto& [i, x] : f.value_outliers) idx.push_back(i);
+    std::sort(idx.begin(), idx.end());
+    return idx;
+  };
+  EXPECT_EQ(vo_index(prod.field),
+            (std::vector<u64>{nan_at, inf_at, ninf_at}));
+  EXPECT_EQ(vo_index(prod.field), vo_index(ref.field));
+  // The h = 4 targets on either side predict from the NaN, so both are
+  // integer outliers.
+  for (const std::size_t i : {nan_at - 4, nan_at + 4}) {
+    EXPECT_EQ(prod.field.codes.data()[i], 0u) << i;
+  }
+  EXPECT_TRUE(bit_identical(decode<f32>(prod.field, prod.anchors, false),
+                            decode<f32>(ref.field, ref.anchors, true)));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <numeric>
 
 #include "fzmod/common/rng.hh"
@@ -175,6 +176,19 @@ TEST(Scan, ColsAndSlicesCompose3DInverse) {
   for (std::size_t i = 0; i < d.len(); ++i) EXPECT_EQ(dev.data()[i], q[i]);
 }
 
+/// Forward-shuffle `codes` tile by tile into plane words.
+std::vector<u32> shuffle_tiles(const std::vector<u16>& codes) {
+  const std::size_t n = codes.size();
+  std::vector<u32> planes(bitshuffle_words(n));
+  for (std::size_t t = 0; t < bitshuffle_tiles(n); ++t) {
+    const std::size_t base = t * bitshuffle_tile;
+    bitshuffle_tile_fwd(codes.data() + base,
+                        std::min(bitshuffle_tile, n - base),
+                        planes.data() + t * bitshuffle_words_per_tile);
+  }
+  return planes;
+}
+
 class BitshuffleSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BitshuffleSizes, RoundTrip) {
@@ -186,15 +200,16 @@ TEST_P(BitshuffleSizes, RoundTrip) {
     c = static_cast<u16>(r.next_below(16) == 0 ? r.next_below(65536)
                                                : r.next_below(8));
   }
-  auto d = to_device(codes);
-  device::buffer<u32> planes(bitshuffle_words(n), device::space::device);
-  device::buffer<u16> back(n, device::space::device);
-  device::stream s;
-  bitshuffle_fwd_async(d, planes, s);
-  bitshuffle_inv_async(planes, back, s);
-  s.sync();
+  const auto planes = shuffle_tiles(codes);
+  std::vector<u16> back(n);
+  for (std::size_t t = 0; t < bitshuffle_tiles(n); ++t) {
+    const std::size_t base = t * bitshuffle_tile;
+    bitshuffle_tile_inv(planes.data() + t * bitshuffle_words_per_tile,
+                        std::min(bitshuffle_tile, n - base),
+                        back.data() + base);
+  }
   for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(back.data()[i], codes[i]) << i;
+    ASSERT_EQ(back[i], codes[i]) << i;
   }
 }
 
@@ -203,13 +218,61 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BitshuffleSizes,
 
 TEST(Bitshuffle, ZeroInputYieldsZeroPlanes) {
   std::vector<u16> codes(2048, 0);
-  auto d = to_device(codes);
-  device::buffer<u32> planes(bitshuffle_words(2048), device::space::device);
-  device::stream s;
-  bitshuffle_fwd_async(d, planes, s);
-  s.sync();
-  for (std::size_t w = 0; w < planes.size(); ++w) {
-    EXPECT_EQ(planes.data()[w], 0u);
+  for (const u32 w : shuffle_tiles(codes)) EXPECT_EQ(w, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The production tile bodies (byte matrices, one multiply per plane
+// column, spread-table inverse) must match the per-bit references word for
+// word and symbol for symbol.
+
+TEST(BitshuffleReference, TilesMatchReference) {
+  rng r(23);
+  const std::vector<std::pair<const char*, std::function<u16(std::size_t)>>>
+      patterns = {
+          {"zero", [](std::size_t) { return u16{0}; }},
+          {"ones", [](std::size_t) { return u16{0xFFFF}; }},
+          {"bit per plane",
+           [](std::size_t i) { return static_cast<u16>(1u << (i % 16)); }},
+          {"random", [&](std::size_t) {
+             return static_cast<u16>(r.next_below(65536));
+           }},
+          {"skewed small", [&](std::size_t) {
+             return static_cast<u16>(r.next_below(32) == 0
+                                         ? r.next_below(65536)
+                                         : r.next_below(12));
+           }},
+      };
+  for (const std::size_t count : {1, 31, 32, 33, 255, 511, 512}) {
+    for (const auto& [name, gen] : patterns) {
+      SCOPED_TRACE(testing::Message() << name << ", count " << count);
+      std::vector<u16> in(count);
+      for (std::size_t i = 0; i < count; ++i) in[i] = gen(i);
+      std::vector<u32> want(bitshuffle_words_per_tile, 0xDEADBEEF);
+      std::vector<u32> got(bitshuffle_words_per_tile, 0xDEADBEEF);
+      bitshuffle_tile_fwd_reference(in.data(), count, want.data());
+      const int used = bitshuffle_tile_fwd(in.data(), count, got.data());
+      ASSERT_EQ(got, want);
+      for (std::size_t w = static_cast<std::size_t>(used) *
+                           bitshuffle_words_per_plane;
+           w < bitshuffle_words_per_tile; ++w) {
+        ASSERT_EQ(got[w], 0u) << "word " << w << " above plane " << used;
+      }
+
+      // Inverse of the forward words, and of arbitrary words (set bits in
+      // padding positions are ignored by both bodies).
+      std::vector<u32> noise(bitshuffle_words_per_tile);
+      for (auto& w : noise) w = static_cast<u32>(r.next_u64());
+      for (const auto* words : {&want, &noise}) {
+        std::vector<u16> ref(count + 1, 0xABCD), prod(count + 1, 0xABCD);
+        bitshuffle_tile_inv_reference(words->data(), count, ref.data());
+        bitshuffle_tile_inv(words->data(), count, prod.data());
+        ASSERT_EQ(prod, ref);
+        if (words == &want) {
+          ASSERT_TRUE(std::equal(in.begin(), in.end(), prod.begin()));
+        }
+      }
+    }
   }
 }
 
@@ -295,6 +358,43 @@ TEST(HistogramReference, ProductionMatchesReference) {
     s.sync();
     for (std::size_t k = 0; k < nbins; ++k) {
       ASSERT_EQ(a.data()[k], b.data()[k]) << "n=" << n << " bin " << k;
+    }
+  }
+}
+
+// The top-k histogram (slot map, 4 banks) must give exactly the reference
+// counts whatever the sample nominates.
+TEST(HistogramReference, TopKMatchesReference) {
+  rng r(24);
+  const std::size_t nbins = 1024;
+  const std::vector<std::pair<const char*, std::vector<u16>>> inputs = [&] {
+    std::vector<std::pair<const char*, std::vector<u16>>> v;
+    std::vector<u16> concentrated(300000), spread(300000), few(200000),
+        tiny(5);
+    for (auto& c : concentrated) {
+      c = static_cast<u16>(std::clamp(r.normal() * 2.0 + 512.0, 0.0, 1023.0));
+    }
+    for (auto& c : spread) c = static_cast<u16>(r.next_below(nbins));
+    // Three distinct symbols: fewer than k = 8 hot slots get nominated.
+    for (auto& c : few) c = static_cast<u16>(510 + r.next_below(3));
+    // Below the 65536-symbol sample stride: every symbol is sampled.
+    for (auto& c : tiny) c = static_cast<u16>(r.next_below(nbins));
+    v.emplace_back("concentrated", std::move(concentrated));
+    v.emplace_back("spread over all bins", std::move(spread));
+    v.emplace_back("fewer symbols than k", std::move(few));
+    v.emplace_back("n below the sample stride", std::move(tiny));
+    return v;
+  }();
+  for (const auto& [name, codes] : inputs) {
+    auto d = to_device(codes);
+    device::buffer<u32> a(nbins, device::space::device);
+    device::buffer<u32> b(nbins, device::space::device);
+    device::stream s;
+    histogram_reference_async(d, a, s);
+    histogram_topk_async(d, b, s);
+    s.sync();
+    for (std::size_t k = 0; k < nbins; ++k) {
+      ASSERT_EQ(a.data()[k], b.data()[k]) << name << ", bin " << k;
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "fzmod/common/rng.hh"
 #include "fzmod/metrics/metrics.hh"
@@ -373,6 +374,58 @@ TEST(LorenzoReference, Identical2DAcrossSegments) {
   const auto counts = expect_matches_reference(v, d, 1e-3);
   EXPECT_GT(counts.codes, 0u);
   EXPECT_GT(counts.values, 0u);
+}
+
+// The inline rounding helper must agree with std::llrint (ties to even)
+// everywhere the quantizers call it: |v| <= 2^51.
+TEST(LorenzoReference, RoundHalfEvenMatchesLlrint) {
+  const f64 p27 = 0x1p27, p51 = 0x1p51;
+  for (const f64 v :
+       {0.5, -0.5, 1.5, -1.5, 2.5, -2.5, -0.0, 0.0,
+        std::numeric_limits<f64>::denorm_min(),
+        -std::numeric_limits<f64>::denorm_min(), p27 - 0.5, -(p27 - 0.5),
+        p51 - 0.5, -(p51 - 0.5), 0.49999999999999994, -0.49999999999999994,
+        1e6 + 0.5, -1e6 - 0.5, 3.7, -3.7}) {
+    const f64 r = round_half_even(v);
+    EXPECT_EQ(static_cast<i64>(r), std::llrint(v)) << v;
+    EXPECT_EQ(r, std::nearbyint(v)) << v;
+  }
+}
+
+/// A field on half-lattice ties, x = (k + 1/2) * ebx2 with a power-of-two
+/// ebx2, so every prequantization rounds a tie exactly; `spikes` become
+/// integer outliers.
+std::vector<f32> half_lattice_field(dims3 d, f64 ebx2, u64 seed) {
+  rng r(seed);
+  std::vector<f32> v(d.len());
+  for (std::size_t z = 0; z < d.z; ++z) {
+    for (std::size_t y = 0; y < d.y; ++y) {
+      for (std::size_t x = 0; x < d.x; ++x) {
+        const f64 k = std::floor(
+            std::sin(0.01 * static_cast<f64>(x)) *
+                std::cos(0.02 * static_cast<f64>(y)) * 500.0 +
+            3.0 * static_cast<f64>(z) +
+            static_cast<f64>(r.next_below(5)) - 2.0);
+        v[d.at(x, y, z)] = static_cast<f32>((k + 0.5) * ebx2);
+      }
+    }
+  }
+  for (std::size_t i = 7; i < v.size(); i += 997) {
+    v[i] += static_cast<f32>(4096 * ebx2);
+  }
+  return v;
+}
+
+TEST(LorenzoReference, HalfLatticeTiesMatchReference) {
+  const f64 eb = 0x1p-7;  // ebx2 = 2^-6: scaled values are exact ties
+  for (const dims3 d : {dims3{50000}, dims3{301, 97}, dims3{64, 48, 20}}) {
+    const auto v = half_lattice_field(d, 2 * eb, 65);
+    for (const f32 x : v) {
+      const f64 scaled = static_cast<f64>(x) / (2 * eb);
+      ASSERT_EQ(scaled - std::floor(scaled), 0.5);
+    }
+    EXPECT_GT(expect_matches_reference(v, d, eb).codes, 0u);
+  }
 }
 
 }  // namespace
