@@ -6,7 +6,6 @@
 //   - cache hit rate at a cache sized to half the chunk count (so the
 //     LRU policy, not raw capacity, earns the rate)
 //   - a cold sequential scan with the prefetcher on vs off
-//   - `.fzx` sidecar reopen (index accepted, directory scan skipped)
 //
 // Correctness is checked inline: sampled reads must match the same slice
 // of one full decompress of the archive, byte for byte.
@@ -17,10 +16,9 @@
 //   FZMOD_READER_READS=N       zipfian reads (default 2000)
 //   FZMOD_BENCH_JSON=path      append machine-readable lines
 //   FZMOD_BENCH_CHECK=1        exit nonzero unless (a) sampled reads are
-//                              byte-identical to the full-decode slice, (b) the
-//                              sidecar reopen uses the index, and (c) the
-//                              zipfian hit rate >= FZMOD_READER_MIN_HITRATE
-//                              (default 0.60)
+//                              byte-identical to the full-decode slice and
+//                              (b) the zipfian hit rate >=
+//                              FZMOD_READER_MIN_HITRATE (default 0.60)
 #include <algorithm>
 #include <cmath>
 
@@ -132,7 +130,7 @@ int reader_main() {
   u64 pf_used = 0;
   for (int pf = 0; pf <= 1; ++pf) {
     core::reader_options sopt;
-    sopt.cache_mb = 2 * field_mb;  // capacity out of the way
+    sopt.cache_bytes = (2 * field_mb) << 20;  // capacity out of the way
     sopt.prefetch = pf ? 2 : 0;
     sopt.jobs = 2;
     core::reader<f32> sr(archive, sopt, cfg);
@@ -151,16 +149,6 @@ int reader_main() {
       throughput_gbps(dims.len() * sizeof(f32), scan_s[0]),
       throughput_gbps(dims.len() * sizeof(f32), scan_s[1]),
       static_cast<unsigned long long>(pf_used));
-
-  // --- `.fzx` sidecar reopen --------------------------------------------
-  const std::vector<u8> index = r.export_index();
-  stopwatch sw_idx;
-  core::reader<f32> ri(archive, index, ropt, cfg);
-  const f64 reopen_s = sw_idx.seconds();
-  const bool index_ok = ri.stats().index_used;
-  std::printf("sidecar reopen: %llu B index, %.2f ms, accepted: %s\n",
-              static_cast<unsigned long long>(index.size()),
-              reopen_s * 1e3, index_ok ? "yes" : "NO (fell back to scan)");
   bench::print_rule();
 
   if (std::FILE* f = bench::bench_json_stream()) {
@@ -172,8 +160,7 @@ int reader_main() {
         "\"hit_rate\":%.4f,\"hits\":%llu,\"misses\":%llu,"
         "\"evictions\":%llu,\"zipf_wall_s\":%.4f,"
         "\"scan_gbps_cold\":%.4f,\"scan_gbps_prefetch\":%.4f,"
-        "\"prefetch_used\":%llu,\"index_bytes\":%llu,"
-        "\"index_used\":%s,\"reads_ok\":%s}\n",
+        "\"prefetch_used\":%llu,\"reads_ok\":%s}\n",
         field_mb, chunk_mb, static_cast<unsigned long long>(nchunks),
         nreads, static_cast<unsigned long long>(read_elems * sizeof(f32)),
         p50, p90, p99, st.hit_rate(),
@@ -183,13 +170,12 @@ int reader_main() {
         throughput_gbps(dims.len() * sizeof(f32), scan_s[0]),
         throughput_gbps(dims.len() * sizeof(f32), scan_s[1]),
         static_cast<unsigned long long>(pf_used),
-        static_cast<unsigned long long>(index.size()),
-        index_ok ? "true" : "false", reads_ok ? "true" : "false");
+        reads_ok ? "true" : "false");
     std::fflush(f);
   }
 
   if (bench::env_int("FZMOD_BENCH_CHECK", 0)) {
-    if (!reads_ok || !index_ok) {
+    if (!reads_ok) {
       std::fprintf(stderr, "FZMOD_BENCH_CHECK: correctness failure\n");
       return 1;
     }
@@ -205,8 +191,7 @@ int reader_main() {
       return 1;
     }
     std::printf(
-        "FZMOD_BENCH_CHECK: hit rate %.3f >= %.3f, reads byte-identical, "
-        "index accepted\n",
+        "FZMOD_BENCH_CHECK: hit rate %.3f >= %.3f, reads byte-identical\n",
         st.hit_rate(), floor);
   }
   return 0;

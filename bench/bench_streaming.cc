@@ -172,7 +172,7 @@ int streaming_main() {
       }
     };
     core::reader_options ropt;
-    ropt.cache_mb = 32;
+    ropt.cache_bytes = std::size_t{32} << 20;
     ropt.prefetch = 0;
     core::reader<f32> r(src, archive_bytes, ropt, cfg);
     const f64 bound = metrics::f32_bound_slack(

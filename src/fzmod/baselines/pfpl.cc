@@ -11,7 +11,9 @@
 //
 // Runs host-side (PFPL's defining trait is portability; its CPU and GPU
 // versions share the algorithm), parallel over the worker pool.
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <mutex>
 
@@ -169,6 +171,12 @@ class pfpl final : public compressor {
         raws.insert(raws.end(), local.begin(), local.end());
       }
     });
+    // Tile ranges finish in any order; index order makes the archive a
+    // function of the field alone.
+    std::sort(raws.begin(), raws.end(),
+              [](const raw_record& a, const raw_record& b) {
+                return a.index < b.index;
+              });
 
     // 3. Bitshuffle tiles.
     std::vector<u32> planes(ntiles * words_per_tile);
@@ -239,7 +247,13 @@ class pfpl final : public compressor {
     p += bases.size();
     if (!words.empty()) std::memcpy(p, words.data(), words.size() * sizeof(u32));
     p += words.size() * sizeof(u32);
-    if (!raws.empty()) std::memcpy(p, raws.data(), raws.size() * sizeof(raw_record));
+    // Field by field into the zeroed buffer: a raw_record's 4 padding
+    // bytes are never copied, so they are written as zeros.
+    for (const raw_record& r : raws) {
+      std::memcpy(p + offsetof(raw_record, index), &r.index, sizeof(r.index));
+      std::memcpy(p + offsetof(raw_record, value), &r.value, sizeof(r.value));
+      p += sizeof(raw_record);
+    }
     hdr.payload_digest = kernels::chunked_hash(
         {out.data() + sizeof(hdr), out.size() - sizeof(hdr)});
     std::memcpy(out.data(), &hdr, sizeof(hdr));

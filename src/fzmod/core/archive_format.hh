@@ -27,8 +27,9 @@
 // Each container (v3, FZMF) is built and parsed here and nowhere else: one
 // header builder, one entry/directory builder, and a parse split into a
 // header step and a directory step, each taking only the bytes it reads
-// plus the container size. Span parses and the seekable reader's streaming
-// opens run the same steps, so they accept and reject the same bytes.
+// plus the container size. Span parses and every seekable-reader open run
+// the same steps, so they accept and reject the same bytes. A container's
+// own trailing directory is its only chunk index.
 #pragma once
 
 #include <algorithm>
@@ -615,10 +616,10 @@ inline bool read_directory(std::span<const u8> tail, u64 count,
 
 /// Validate that a chunk directory tiles the field contiguously in raw
 /// order and tiles a `payload_bytes`-sized payload contiguously — any
-/// gap, overlap, or overrun is corruption. A directory imported from a
-/// `.fzx` sidecar index gets the same screening as a scanned one, so a
-/// forged index entry can never produce an out-of-bounds chunk_archive()
-/// slice.
+/// gap, overlap, or overrun is corruption. The directory digest only
+/// detects damage: a forged directory can carry a recomputed digest, and
+/// this screening is what keeps its entries from producing an
+/// out-of-bounds chunk_archive() slice or reader fetch.
 inline void validate_chunk_directory(std::span<const chunk_dir_entry> entries,
                                      u64 field_len, u64 payload_bytes) {
   u64 raw_at = 0, arch_at = 0;
@@ -734,145 +735,6 @@ inline void parse_chunk_directory(chunk_container_view& cv,
                                           std::span<const u8> chunk_bytes) {
   if (!verify_enabled()) return true;
   return kernels::chunked_hash(chunk_bytes) == e.digest;
-}
-
-// --- .fzx sidecar index ----------------------------------------------------
-//
-// An exportable copy of a v3 container's chunk directory, indexed_bzip2
-// style: reopening a huge archive imports the sidecar and skips the
-// trailing-directory scan entirely. Layout (docs/FORMAT.md is normative):
-//   fzx := fzx_header | nchunks x chunk_dir_entry | u64 self_digest
-// The header binds the index to one exact container: `container_bytes` +
-// `container_digest` (chunked_hash of the whole container) detect a stale
-// or swapped container; `self_digest` (hash of everything before it)
-// detects sidecar damage. A mismatch anywhere must degrade to a normal
-// directory scan — never a crash, never silently-wrong reads.
-
-inline constexpr u32 fzx_magic = 0x465a5831;  // "FZX1"
-inline constexpr u16 fzx_index_version = 1;
-
-#pragma pack(push, 1)
-/// Fixed-size sidecar header (64 bytes). Mirrors chunk_header_v3's field
-/// identity (type/dims/nchunks/chunk_elems) so an index/container pairing
-/// is checkable without hashing anything.
-struct fzx_header {
-  u32 magic;          // fzx_magic
-  u16 version;        // fzx_index_version
-  u8 type;            // dtype of the field
-  u8 pad;             // must be zero
-  u64 dims[3];        // full-field extents
-  u64 nchunks;        // directory entry count
-  u64 chunk_elems;    // nominal elements per chunk
-  u64 container_bytes;   // exact size of the container this index describes
-  u64 container_digest;  // chunked_hash of the whole container
-};
-#pragma pack(pop)
-
-static_assert(sizeof(fzx_header) == 64,
-              "fzx sidecar layout must stay byte-stable");
-
-/// Parsed sidecar index.
-struct fzx_view {
-  fzx_header hdr{};
-  dims3 dims;
-  std::vector<chunk_dir_entry> entries;
-};
-
-/// Serialize a sidecar index for a parsed container. `container_bytes` /
-/// `container_digest` describe the exact container bytes the directory
-/// came from.
-[[nodiscard]] inline std::vector<u8> build_index(
-    const chunk_container_view& cv, u64 container_bytes,
-    u64 container_digest) {
-  fzx_header h{};
-  h.magic = fzx_magic;
-  h.version = fzx_index_version;
-  h.type = cv.hdr.type;
-  h.pad = 0;
-  h.dims[0] = cv.hdr.dims[0];
-  h.dims[1] = cv.hdr.dims[1];
-  h.dims[2] = cv.hdr.dims[2];
-  h.nchunks = cv.hdr.nchunks;
-  h.chunk_elems = cv.hdr.chunk_elems;
-  h.container_bytes = container_bytes;
-  h.container_digest = container_digest;
-  std::vector<u8> out(sizeof(h) +
-                      cv.entries.size() * sizeof(chunk_dir_entry) +
-                      sizeof(u64));
-  std::memcpy(out.data(), &h, sizeof(h));
-  std::memcpy(out.data() + sizeof(h), cv.entries.data(),
-              cv.entries.size() * sizeof(chunk_dir_entry));
-  const u64 self = kernels::chunked_hash(
-      std::span<const u8>(out.data(), out.size() - sizeof(u64)));
-  std::memcpy(out.data() + out.size() - sizeof(u64), &self, sizeof(self));
-  return out;
-}
-
-/// Parse + structurally validate a sidecar index in isolation (magic,
-/// version, dims, entry-count geometry, self-digest — always checked; the
-/// sidecar exists to be cheap). Pairing it with a concrete container
-/// (digest + directory tiling) is the reader's job, because only the
-/// reader knows the container bytes.
-[[nodiscard]] inline fzx_view parse_index(std::span<const u8> index) {
-  FZMOD_REQUIRE(index.size() >= sizeof(fzx_header) + sizeof(u64),
-                status::corrupt_archive, "fzx index too small");
-  fzx_view fv;
-  std::memcpy(&fv.hdr, index.data(), sizeof(fv.hdr));
-  FZMOD_REQUIRE(fv.hdr.magic == fzx_magic &&
-                    fv.hdr.version == fzx_index_version,
-                status::corrupt_archive, "bad fzx index header");
-  FZMOD_REQUIRE(fv.hdr.pad == 0, status::corrupt_archive,
-                "fzx index: nonzero padding");
-  fv.dims = dims3{fv.hdr.dims[0], fv.hdr.dims[1], fv.hdr.dims[2]};
-  FZMOD_REQUIRE(!fv.dims.len_invalid(), status::corrupt_archive,
-                "fzx index dims out of supported range");
-  FZMOD_REQUIRE(fv.hdr.nchunks >= 1 && fv.hdr.nchunks <= fv.dims.len(),
-                status::corrupt_archive,
-                "fzx index: implausible chunk count");
-  const u64 dir_bytes = fv.hdr.nchunks * sizeof(chunk_dir_entry);
-  FZMOD_REQUIRE(index.size() == sizeof(fzx_header) + dir_bytes + sizeof(u64),
-                status::corrupt_archive,
-                "fzx index: size does not match its chunk count");
-  u64 self = 0;
-  std::memcpy(&self, index.data() + index.size() - sizeof(u64),
-              sizeof(self));
-  FZMOD_REQUIRE(kernels::chunked_hash(index.first(index.size() -
-                                                  sizeof(u64))) == self,
-                status::corrupt_archive, "fzx index: self digest mismatch");
-  fv.entries.resize(fv.hdr.nchunks);
-  std::memcpy(fv.entries.data(), index.data() + sizeof(fzx_header),
-              dir_bytes);
-  return fv;
-}
-
-/// Pair a parsed sidecar index with the container whose header step
-/// produced `cv`: field identity, exact container size, the same directory
-/// screening a scanned directory gets and, when `check_digest`, the
-/// whole-container digest (the stale-index detector; `container_digest()`
-/// streams the container, so it runs last). Returns the imported
-/// directory.
-template <class DigestFn>
-[[nodiscard]] inline std::vector<chunk_dir_entry> index_directory(
-    const fzx_view& fv, const chunk_container_view& cv, bool check_digest,
-    DigestFn&& container_digest) {
-  FZMOD_REQUIRE(fv.hdr.type == cv.hdr.type &&
-                    fv.hdr.dims[0] == cv.hdr.dims[0] &&
-                    fv.hdr.dims[1] == cv.hdr.dims[1] &&
-                    fv.hdr.dims[2] == cv.hdr.dims[2] &&
-                    fv.hdr.nchunks == cv.hdr.nchunks &&
-                    fv.hdr.chunk_elems == cv.hdr.chunk_elems,
-                status::corrupt_archive,
-                "fzx index: field identity does not match the container");
-  FZMOD_REQUIRE(fv.hdr.container_bytes == sizeof(chunk_header_v3) +
-                                              cv.payload_bytes +
-                                              cv.tail_bytes,
-                status::corrupt_archive,
-                "fzx index: container size mismatch (stale index)");
-  validate_chunk_directory(fv.entries, cv.dims.len(), cv.payload_bytes);
-  FZMOD_REQUIRE(!check_digest || container_digest() == fv.hdr.container_digest,
-                status::corrupt_archive,
-                "fzx index: container digest mismatch (stale index)");
-  return fv.entries;
 }
 
 // --- multi-field container ("FZMF") ----------------------------------------

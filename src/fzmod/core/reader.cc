@@ -1,9 +1,9 @@
 // FZModules — seekable reader implementation. See reader.hh for the model:
-// one directory parse per open (container scan or imported .fzx sidecar),
-// an LRU cache of decoded chunks under a byte budget, and an N-way
-// stride prefetcher feeding a bounded worker pool. All shared state lives
-// under one mutex; decoded chunks publish as immutable shared_ptrs, so
-// copies out of the cache run outside the lock.
+// one parse of the container's trailing directory per open, an LRU cache
+// of decoded chunks under a byte budget, and an N-way stride prefetcher
+// feeding a bounded worker pool. All shared state lives under one mutex;
+// decoded chunks publish as immutable shared_ptrs, so copies out of the
+// cache run outside the lock.
 
 #include "fzmod/core/reader.hh"
 
@@ -16,7 +16,6 @@
 #include <unordered_map>
 
 #include "fzmod/common/env.hh"
-#include "fzmod/data/io.hh"
 #include "fzmod/kernels/chunked_hash.hh"
 #include "fzmod/trace/trace.hh"
 
@@ -75,12 +74,8 @@ template <class Src>
 
 std::size_t reader_options::resolve_cache_bytes() const {
   if (cache_bytes) return cache_bytes;
-  std::size_t mb =
-      cache_mb ? cache_mb
-               : static_cast<std::size_t>(
-                     common::env_u64("FZMOD_READER_CACHE_MB", 256));
-  if (mb == 0) mb = 1;
-  return mb << 20;
+  const u64 mb = common::env_u64("FZMOD_READER_CACHE_MB", 256);
+  return static_cast<std::size_t>(std::max<u64>(mb, 1)) << 20;
 }
 
 unsigned reader_options::resolve_prefetch() const {
@@ -105,9 +100,8 @@ struct reader<T>::impl {
   std::size_t cache_budget = 0;
   unsigned ways = 0;
   unsigned njobs = 1;
-  byte_source fetch;        // unified byte access (span, file, or stream)
+  byte_source fetch;        // unified byte access (span or stream)
   u64 total_bytes = 0;      // container size
-  std::vector<u8> owned;    // backing storage for file opens
   bool plain = false;       // v1/v2 archive: one implicit chunk, no digest
   dims3 fdims;
   u64 n = 0;                // field elements
@@ -154,7 +148,7 @@ struct reader<T>::impl {
 
   // --- open ----------------------------------------------------------------
 
-  void open(std::span<const u8> index, const reader_options& opt) {
+  void open(const reader_options& opt) {
     cache_budget = opt.resolve_cache_bytes();
     ways = opt.resolve_prefetch();
     njobs = opt.resolve_jobs();
@@ -166,7 +160,7 @@ struct reader<T>::impl {
     const std::vector<u8> head = fetch_bytes(
         fetch, 0, std::min<u64>(total_bytes, sizeof(fmt::chunk_header_v3)));
     const dtype type = fmt::is_chunk_container(head)
-                           ? open_container(head, index, opt)
+                           ? open_container(head)
                            : open_plain();
     FZMOD_REQUIRE(type == dtype_of<T>(), status::invalid_argument,
                   "reader: archive holds a different dtype");
@@ -177,34 +171,16 @@ struct reader<T>::impl {
   }
 
   /// v3 container open: the header step over the fetched header, then the
-  /// directory from the sidecar index (when given and it checks out
-  /// against this exact container) or the directory step over the
-  /// fetched tail. Returns the field's dtype.
-  dtype open_container(std::span<const u8> head, std::span<const u8> index,
-                       const reader_options& opt) {
-    cv = fmt::parse_chunk_header(head, total_bytes, fmt::verify_enabled());
+  /// directory step over the fetched tail. Returns the field's dtype.
+  dtype open_container(std::span<const u8> head) {
+    const bool verify = fmt::verify_enabled();
+    cv = fmt::parse_chunk_header(head, total_bytes, verify);
+    fmt::parse_chunk_directory(
+        cv, fetch_bytes(fetch, total_bytes - cv.tail_bytes, cv.tail_bytes),
+        verify);
     fdims = cv.dims;
     n = fdims.len();
     payload_off = sizeof(fmt::chunk_header_v3);
-
-    if (!index.empty()) {
-      // Any fzmod::error while vetting the index — damaged sidecar, a
-      // container that has since been rewritten, a forged directory —
-      // degrades to the scan below. Never a crash, never trusted blindly.
-      try {
-        cv.entries = fmt::index_directory(
-            fmt::parse_index(index), cv, opt.check_index_digest,
-            [this] { return container_digest(); });
-        st.index_used = true;
-        trace::instant("reader", "open.index");
-        return static_cast<dtype>(cv.hdr.type);
-      } catch (const error&) {
-        trace::instant("reader", "index.rejected");
-      }
-    }
-    fmt::parse_chunk_directory(
-        cv, fetch_bytes(fetch, total_bytes - cv.tail_bytes, cv.tail_bytes),
-        fmt::verify_enabled());
     trace::instant("reader", "open.dirscan");
     return static_cast<dtype>(cv.hdr.type);
   }
@@ -213,14 +189,7 @@ struct reader<T>::impl {
   /// sources are materialized (plain archives are not the huge-container
   /// case the streaming open exists for). Returns the field's dtype.
   dtype open_plain() {
-    std::vector<u8> buf;
-    std::span<const u8> whole;
-    if (owned.size() == total_bytes) {
-      whole = owned;
-    } else {
-      buf = fetch_bytes(fetch, 0, total_bytes);
-      whole = buf;
-    }
+    const std::vector<u8> whole = fetch_bytes(fetch, 0, total_bytes);
     // The sealed whole-body digest comes first: inspect_archive LZ-parses
     // a secondary body, and the LZ parser must only see verified bytes.
     fmt::verify_outer(fmt::parse_outer(whole));
@@ -235,12 +204,6 @@ struct reader<T>::impl {
     // e.digest stays 0: the inner archive carries its own digests.
     cv.entries.push_back(e);
     return ai.type;
-  }
-
-  [[nodiscard]] u64 container_digest() const {
-    return kernels::chunked_hash_stream(
-        total_bytes,
-        [this](u8* dst, u64 off, std::size_t len) { fetch(dst, off, len); });
   }
 
   // --- cache machinery (all *_locked methods require `mu`) -----------------
@@ -465,35 +428,13 @@ struct reader<T>::impl {
 // --- public surface --------------------------------------------------------
 
 template <class T>
-reader<T>::reader(std::unique_ptr<impl> pimpl) : impl_(std::move(pimpl)) {}
-
-namespace {
-
-template <class T>
-[[nodiscard]] typename reader<T>::byte_source span_source(
-    std::span<const u8> archive) {
-  return [archive](u8* dst, u64 off, std::size_t len) {
-    std::memcpy(dst, archive.data() + off, len);
-  };
-}
-
-}  // namespace
-
-template <class T>
 reader<T>::reader(std::span<const u8> archive, reader_options opt,
                   pipeline_config cfg)
-    : reader(archive, std::span<const u8>{}, std::move(opt),
-             std::move(cfg)) {}
-
-template <class T>
-reader<T>::reader(std::span<const u8> archive, std::span<const u8> index,
-                  reader_options opt, pipeline_config cfg)
-    : impl_(std::make_unique<impl>()) {
-  impl_->cfg = std::move(cfg);
-  impl_->fetch = span_source<T>(archive);
-  impl_->total_bytes = archive.size();
-  impl_->open(index, opt);
-}
+    : reader(
+          [archive](u8* dst, u64 off, std::size_t len) {
+            std::memcpy(dst, archive.data() + off, len);
+          },
+          archive.size(), std::move(opt), std::move(cfg)) {}
 
 template <class T>
 reader<T>::reader(std::span<const u8> archive, std::string_view field,
@@ -504,18 +445,11 @@ reader<T>::reader(std::span<const u8> archive, std::string_view field,
 template <class T>
 reader<T>::reader(byte_source src, u64 container_bytes, reader_options opt,
                   pipeline_config cfg)
-    : reader(std::move(src), container_bytes, std::span<const u8>{},
-             std::move(opt), std::move(cfg)) {}
-
-template <class T>
-reader<T>::reader(byte_source src, u64 container_bytes,
-                  std::span<const u8> index, reader_options opt,
-                  pipeline_config cfg)
     : impl_(std::make_unique<impl>()) {
   impl_->cfg = std::move(cfg);
   impl_->fetch = std::move(src);
   impl_->total_bytes = container_bytes;
-  impl_->open(index, opt);
+  impl_->open(opt);
 }
 
 template <class T>
@@ -545,30 +479,6 @@ reader<T> reader<T>::open_field(byte_source src, u64 container_bytes,
       e, [&] { return kernels::chunked_hash_stream(e.archive_bytes, sub); });
   return reader(std::move(sub), e.archive_bytes, std::move(opt),
                 std::move(cfg));
-}
-
-template <class T>
-reader<T> reader<T>::open_file(const std::string& path, reader_options opt,
-                               pipeline_config cfg) {
-  return open_file(path, std::string{}, std::move(opt), std::move(cfg));
-}
-
-template <class T>
-reader<T> reader<T>::open_file(const std::string& path,
-                               const std::string& index_path,
-                               reader_options opt, pipeline_config cfg) {
-  auto pimpl = std::make_unique<impl>();
-  pimpl->cfg = std::move(cfg);
-  pimpl->owned = data::read_file(path);
-  pimpl->total_bytes = pimpl->owned.size();
-  const std::vector<u8>& o = pimpl->owned;
-  pimpl->fetch = [&o](u8* dst, u64 off, std::size_t len) {
-    std::memcpy(dst, o.data() + off, len);
-  };
-  std::vector<u8> index;
-  if (!index_path.empty()) index = data::read_file(index_path);
-  pimpl->open(index, opt);
-  return reader(std::move(pimpl));
 }
 
 template <class T>
@@ -687,15 +597,6 @@ typename reader<T>::chunk_cursor reader<T>::chunks(u64 elem_offset,
   require_range(elem_offset, elem_count, impl_->n, "reader::chunks");
   return chunk_cursor(*this, elem_offset, elem_offset + elem_count,
                       impl_->find_chunk(elem_offset));
-}
-
-template <class T>
-std::vector<u8> reader<T>::export_index() const {
-  const impl& im = *impl_;
-  FZMOD_REQUIRE(!im.plain, status::unsupported,
-                "export_index: plain v1/v2 archives have no chunk "
-                "directory to index");
-  return fmt::build_index(im.cv, im.total_bytes, im.container_digest());
 }
 
 template <class T>

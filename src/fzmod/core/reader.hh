@@ -4,17 +4,15 @@
 // A read-heavy consumer (visualization slicing a field, a query engine
 // fetching extents) needs to parse once, cache decoded chunks, and
 // predict what gets read next. This reader is that primitive, shaped
-// after rapidgzip's ParallelGzipReader / chunk-fetcher split and
-// indexed_bzip2's exportable block index:
+// after rapidgzip's ParallelGzipReader / chunk-fetcher split:
 //
-//   - **open once** — the chunk directory is parsed and validated exactly
-//     once per reader, by the same header and directory steps a span
-//     parse runs (archive_format.hh), from the container itself or from an
-//     imported `.fzx` sidecar index that skips the trailing directory scan
-//     entirely; a stale or forged index (container digest mismatch,
-//     damaged sidecar) degrades to a normal scan, never a crash;
+//   - **open once** — the container's own trailing chunk directory is
+//     parsed and validated exactly once per reader, by the same header and
+//     directory steps a span parse runs (archive_format.hh). Every open
+//     (span, span + field name, byte_source, open_field) takes that one
+//     path, and a streaming open of a container fetches only those bytes;
 //   - **LRU chunk cache** — decoded chunks are kept under a byte budget
-//     (`reader_options::cache_mb` / `FZMOD_READER_CACHE_MB`), keyed by
+//     (`reader_options::cache_bytes` / `FZMOD_READER_CACHE_MB`), keyed by
 //     chunk id; repeated or overlapping reads hit memory instead of the
 //     decoder;
 //   - **N-way prefetcher** — each read predicts the next chunks from its
@@ -31,14 +29,13 @@
 // digest is checked (before any LZ parse of the body). Under
 // FZMOD_TRACE=1 every read emits a span and cumulative
 // `reader.cache.{hit,miss,evict}` / `reader.prefetch.{issued,used,wasted}`
-// counters, and opens emit an `open.index` / `open.dirscan` instant —
+// counters, and a container open emits an `open.dirscan` instant —
 // docs/OBSERVABILITY.md documents the surface, docs/RUNTIME.md the knobs.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -47,17 +44,12 @@
 namespace fzmod::core {
 
 /// Reader knobs. Zero (or -1 for prefetch) means "resolve from the
-/// environment, then fall back to the default"; the explicit byte budget
-/// wins over the MiB knob (tests use it to force tiny caches).
+/// environment, then fall back to the default".
 struct reader_options {
-  std::size_t cache_mb = 0;     ///< decoded-chunk budget in MiB
-  std::size_t cache_bytes = 0;  ///< explicit byte budget (wins)
+  /// Decoded-chunk budget in bytes; 0 takes FZMOD_READER_CACHE_MB (MiB).
+  std::size_t cache_bytes = 0;
   int prefetch = -1;   ///< chunks to decode ahead; 0 disables speculation
   unsigned jobs = 0;   ///< decode worker threads
-  /// Check the container's whole-body digest before trusting a sidecar
-  /// index (the stale-index detector). Costs one streaming hash of the
-  /// container on open; opting out trusts the pairing blindly.
-  bool check_index_digest = true;
 
   [[nodiscard]] std::size_t resolve_cache_bytes() const;
   [[nodiscard]] unsigned resolve_prefetch() const;
@@ -74,7 +66,6 @@ struct reader_stats {
   u64 prefetch_issued = 0;  ///< speculative decodes enqueued
   u64 prefetch_used = 0;    ///< speculative chunks later consumed by a read
   u64 prefetch_wasted = 0;  ///< speculative chunks evicted unconsumed
-  bool index_used = false;  ///< directory came from a `.fzx` sidecar
 
   [[nodiscard]] f64 hit_rate() const {
     const u64 total = hits + misses;
@@ -97,12 +88,6 @@ class reader {
   explicit reader(std::span<const u8> archive, reader_options opt = {},
                   pipeline_config cfg = {});
 
-  /// Same, importing a `.fzx` sidecar index: when the index matches the
-  /// container it replaces the directory scan; on any mismatch the reader
-  /// falls back to scanning (stats().index_used tells which happened).
-  reader(std::span<const u8> archive, std::span<const u8> index,
-         reader_options opt = {}, pipeline_config cfg = {});
-
   /// Open one named field of a (possibly multi-field) archive. Selection
   /// follows fmt::select_field: single-field archives require an empty
   /// name, a one-field container tolerates one, and errors list what is
@@ -115,8 +100,6 @@ class reader {
   /// the chunks a read touches are ever fetched.
   reader(byte_source src, u64 container_bytes, reader_options opt = {},
          pipeline_config cfg = {});
-  reader(byte_source src, u64 container_bytes, std::span<const u8> index,
-         reader_options opt = {}, pipeline_config cfg = {});
 
   /// Streaming-source analogue of the field-selecting open: for a
   /// multi-field container only the 16-byte header and the tail directory
@@ -128,15 +111,6 @@ class reader {
                                          std::string_view field,
                                          reader_options opt = {},
                                          pipeline_config cfg = {});
-
-  /// Open a container file (whole-file read; the reader owns the bytes).
-  [[nodiscard]] static reader open_file(const std::string& path,
-                                        reader_options opt = {},
-                                        pipeline_config cfg = {});
-  [[nodiscard]] static reader open_file(const std::string& path,
-                                        const std::string& index_path,
-                                        reader_options opt = {},
-                                        pipeline_config cfg = {});
 
   reader(reader&&) noexcept;
   reader& operator=(reader&&) noexcept;
@@ -186,17 +160,11 @@ class reader {
   /// elem_count). Range validation matches read().
   [[nodiscard]] chunk_cursor chunks(u64 elem_offset, u64 elem_count);
 
-  /// Serialize the `.fzx` sidecar index for this container (hashes the
-  /// whole container to bind the pairing). Plain v1/v2 archives have no
-  /// directory to index — throws status::unsupported.
-  [[nodiscard]] std::vector<u8> export_index() const;
-
   /// Snapshot of the cumulative counters (thread-safe value copy).
   [[nodiscard]] reader_stats stats() const;
 
  private:
   struct impl;
-  explicit reader(std::unique_ptr<impl> pimpl);
   std::shared_ptr<const std::vector<T>> fetch_chunk(std::size_t id);
   std::unique_ptr<impl> impl_;
 };

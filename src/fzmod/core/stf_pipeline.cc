@@ -278,8 +278,10 @@ std::vector<f32> stf_decompress(std::span<const u8> archive) {
   auto outliers = std::make_shared<std::vector<kernels::outlier>>(
       fmt::unpack_outliers(sections.outliers, hdr.n_outliers, n));
   std::vector<fmt::vo_record> value_outliers(hdr.n_value_outliers);
-  std::memcpy(value_outliers.data(), sections.value_outliers.data(),
-              sections.value_outliers.size());
+  if (!value_outliers.empty()) {
+    std::memcpy(value_outliers.data(), sections.value_outliers.data(),
+                sections.value_outliers.size());
+  }
 
   stf::context ctx;
   auto ld_codes = ctx.make_data<u16>(n, "codes");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "fzmod/common/error.hh"
 #include "fzmod/baselines/compressor.hh"
@@ -136,6 +137,43 @@ TEST(Pfpl, GuaranteeChannelCatchesEveryViolation) {
     // PFPL's defining property: the bound holds pointwise, period.
     ASSERT_LE(std::fabs(static_cast<f64>(v[i]) - rec[i]), eb.eb * (1 + 1e-9))
         << i;
+  }
+}
+
+TEST(Pfpl, RawRecordsAreDeterministicAndZeroPadded) {
+  // Raw values in many tiles, so several worker ranges each append raw
+  // records. The archive must not depend on which range finishes first,
+  // and no record may carry uninitialised struct padding.
+  rng r(107);
+  std::vector<f32> v(64 * 1024);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = i % 97 == 0 ? static_cast<f32>(r.uniform(-1, 1) * 1e30)
+                       : static_cast<f32>(r.normal() * 100);
+  }
+  auto c = make_pfpl();
+  const eb_config eb{1e-3, eb_mode::abs};
+  const auto a = c->compress(v, dims3(v.size()), eb);
+  const auto b = c->compress(v, dims3(v.size()), eb);
+  EXPECT_EQ(a, b);
+  // PFPL layout: an 80-byte packed header with `u64 n_raw` at byte 32;
+  // the archive ends in n_raw 16-byte {u64 index, f32 value, 4 pad} slots.
+  constexpr std::size_t header_bytes = 80, slot = 16;
+  u64 n_raw = 0;
+  std::memcpy(&n_raw, a.data() + 32, sizeof(n_raw));
+  ASSERT_GT(n_raw, 0u);
+  ASSERT_LE(n_raw * slot, a.size() - header_bytes);
+  const u8* rec = a.data() + a.size() - n_raw * slot;
+  u64 prev = 0;
+  for (u64 k = 0; k < n_raw; ++k, rec += slot) {
+    u64 index = 0;
+    std::memcpy(&index, rec, sizeof(index));
+    if (k) {
+      ASSERT_GT(index, prev) << "record " << k << " out of order";
+    }
+    prev = index;
+    for (std::size_t pad = 12; pad < slot; ++pad) {
+      ASSERT_EQ(rec[pad], 0) << "record " << k << " padding byte " << pad;
+    }
   }
 }
 

@@ -2,27 +2,27 @@
 // random-access engine: read() equality with a full-decode slice on random
 // and chunk-boundary extents, cache hit-rate under a zipfian access
 // trace, LRU eviction under a tiny byte budget, the sequential prefetcher,
-// corrupted-chunk isolation (sticky errors), `.fzx` sidecar round-trip
-// plus stale/forged index rejection, the chunk cursor, streaming
-// byte_source opens, plain v2 archives (sealed body digest checked before
-// the LZ parser runs), range validation, and concurrent readers (this
-// test runs under TSan in CI, and under ASan+UBSan with the hostile-input
-// suites).
+// corrupted-chunk isolation (sticky errors), forged v3 directories that
+// carry a recomputed digest, the chunk cursor, the exact bytes a streaming
+// byte_source open and read fetch, plain v2 archives (sealed body digest
+// checked before the LZ parser runs), range validation, and concurrent
+// readers (this test runs under TSan in CI, and under ASan+UBSan with the
+// hostile-input suites).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fzmod/common/rng.hh"
 #include "fzmod/core/chunked.hh"
 #include "fzmod/core/reader.hh"
 #include "fzmod/core/snapshot.hh"
-#include "fzmod/data/io.hh"
-#include "fzmod/trace/trace.hh"
 
 namespace fzmod::core {
 namespace {
@@ -61,7 +61,7 @@ struct fixture {
 /// Small deterministic reader: no prefetch, single worker, roomy cache.
 reader_options quiet_opts() {
   reader_options o;
-  o.cache_mb = 64;
+  o.cache_bytes = std::size_t{64} << 20;
   o.prefetch = 0;
   o.jobs = 1;
   return o;
@@ -210,7 +210,7 @@ TEST(Reader, TinyCacheEvictsAndStaysCorrect) {
 TEST(Reader, SequentialScanUsesPrefetch) {
   fixture fx({64, 8, 12}, 1, 41);
   reader_options opt;
-  opt.cache_mb = 64;
+  opt.cache_bytes = std::size_t{64} << 20;
   opt.prefetch = 2;
   opt.jobs = 2;
   reader<f32> r(fx.arch, opt);
@@ -286,66 +286,67 @@ TEST(Reader, ChunkCursorWalksCoveringChunksOnce) {
   EXPECT_FALSE(cur.next(v));
 }
 
-TEST(Reader, SidecarIndexRoundTripSkipsDirectoryScan) {
-  fixture fx;
-  reader<f32> r1(fx.arch, quiet_opts());
-  const std::vector<u8> idx = r1.export_index();
-  EXPECT_FALSE(r1.stats().index_used);
-
-  trace::set_enabled(true);
-  trace::clear();
-  reader<f32> r2(fx.arch, idx, quiet_opts());
-  EXPECT_TRUE(r2.stats().index_used);
-  bool saw_index = false, saw_dirscan = false;
-  for (const auto& e : trace::snapshot()) {
-    if (std::string_view(e.name) == "open.index") saw_index = true;
-    if (std::string_view(e.name) == "open.dirscan") saw_dirscan = true;
+TEST(Reader, ForgedDirectoryWithRecomputedDigestFailsClosed) {
+  // The directory digest only detects damage; a forger recomputes it. Each
+  // forgery below carries a valid digest, so only the directory's tiling
+  // check stands between its entries and an out-of-bounds fetch — on the
+  // span parse, the chunked decoder, and both reader opens.
+  fixture fx({256, 16, 6}, 2, 31);  // 3 chunks
+  const fmt::chunk_container_view cv = fmt::parse_chunk_container(fx.arch);
+  ASSERT_EQ(cv.entries.size(), 3u);
+  const auto forge = [&](auto&& edit) {
+    std::vector<fmt::chunk_dir_entry> entries = cv.entries;
+    edit(entries);
+    const std::vector<u8> tail = fmt::build_directory(entries);
+    std::vector<u8> bad = fx.arch;
+    std::copy(tail.begin(), tail.end(), bad.end() - tail.size());
+    return bad;
+  };
+  const std::vector<std::pair<const char*, std::vector<u8>>> forgeries = {
+      {"overlapping raw extents",
+       forge([](auto& e) {
+         e[1].raw_offset -= 8;  // chunk 1 re-covers chunk 0's last 8
+         e[1].raw_len += 8;
+       })},
+      {"archive extent past the payload",
+       forge([](auto& e) { e[2].archive_bytes += 64; })},
+      {"raw gap",
+       forge([](auto& e) {
+         e[1].raw_offset += 8;  // nothing covers chunk 1's first 8
+         e[1].raw_len -= 8;
+       })},
+  };
+  const auto expect_corrupt = [](const char* what, const char* path,
+                                 auto&& open) {
+    try {
+      open();
+      ADD_FAILURE() << what << ": " << path << " accepted the directory";
+    } catch (const error& e) {
+      EXPECT_EQ(e.code(), status::corrupt_archive)
+          << what << ": " << path << ": " << e.what();
+    }
+  };
+  for (const auto& [what, bad] : forgeries) {
+    // The digest was recomputed: the directory step's digest check passes.
+    const auto tail = std::span<const u8>(bad).last(cv.tail_bytes);
+    std::vector<fmt::chunk_dir_entry> entries;
+    ASSERT_TRUE(fmt::read_directory(tail, 3, entries, true, "forged")) << what;
+    expect_corrupt(what, "parse_chunk_container",
+                   [&] { (void)fmt::parse_chunk_container(bad); });
+    expect_corrupt(what, "chunked_pipeline::decompress", [&] {
+      chunked_pipeline<f32> cp(pipeline_config{}, chunked_options{});
+      (void)cp.decompress(bad);
+    });
+    expect_corrupt(what, "reader(span)",
+                   [&] { reader<f32> r(bad, quiet_opts()); });
+    expect_corrupt(what, "reader(byte_source)", [&] {
+      reader<f32>::byte_source src = [&](u8* dst, u64 off, std::size_t n) {
+        ASSERT_LE(off + n, bad.size());
+        std::copy_n(bad.data() + off, n, dst);
+      };
+      reader<f32> r(src, bad.size(), quiet_opts());
+    });
   }
-  trace::set_enabled(false);
-  trace::clear();
-  EXPECT_TRUE(saw_index);    // cold open served from the sidecar...
-  EXPECT_FALSE(saw_dirscan);  // ...so the trailing directory never parsed
-  const auto part = r2.read(100, 2000);
-  for (u64 i = 0; i < 2000; ++i) ASSERT_EQ(part[i], fx.full[100 + i]);
-}
-
-TEST(Reader, StaleIndexFallsBackToDirectoryScan) {
-  fixture fx;
-  const std::vector<u8> idx = reader<f32>(fx.arch, quiet_opts())
-                                  .export_index();
-  // "New" container: same dims, different data — the sidecar is stale.
-  fixture fresh({64, 8, 10}, 2, 999);
-  trace::set_enabled(true);
-  trace::clear();
-  reader<f32> r(fresh.arch, idx, quiet_opts());
-  EXPECT_FALSE(r.stats().index_used);
-  bool saw_rejected = false;
-  for (const auto& e : trace::snapshot()) {
-    if (std::string_view(e.name) == "index.rejected") saw_rejected = true;
-  }
-  trace::set_enabled(false);
-  trace::clear();
-  EXPECT_TRUE(saw_rejected);
-  // Degraded to a scan, not a crash — reads serve the *new* data.
-  const auto part = r.read(0, 512);
-  for (u64 i = 0; i < 512; ++i) ASSERT_EQ(part[i], fresh.full[i]);
-}
-
-TEST(Reader, ForgedIndexIsRejectedBySelfDigest) {
-  fixture fx;
-  std::vector<u8> idx =
-      reader<f32>(fx.arch, quiet_opts()).export_index();
-  // Tamper with a directory entry inside the sidecar: the self-digest
-  // trailer no longer matches, so the import must fail closed.
-  idx[sizeof(fmt::fzx_header) + 8] ^= 0xff;
-  reader<f32> r(fx.arch, idx, quiet_opts());
-  EXPECT_FALSE(r.stats().index_used);
-  const auto part = r.read(700, 300);
-  for (u64 i = 0; i < 300; ++i) ASSERT_EQ(part[i], fx.full[700 + i]);
-  // Truncated sidecars fail closed too.
-  std::vector<u8> stub(idx.begin(), idx.begin() + 16);
-  reader<f32> r2(fx.arch, stub, quiet_opts());
-  EXPECT_FALSE(r2.stats().index_used);
 }
 
 TEST(Reader, PlainV2ArchiveOpensAsOneChunk) {
@@ -361,13 +362,6 @@ TEST(Reader, PlainV2ArchiveOpensAsOneChunk) {
   const auto full = plain.decompress(arch);
   const auto part = r.read(30, 50);
   for (u64 i = 0; i < 50; ++i) ASSERT_EQ(part[i], full[30 + i]);
-  // No chunk directory to index.
-  try {
-    (void)r.export_index();
-    FAIL() << "expected unsupported";
-  } catch (const error& e) {
-    EXPECT_EQ(e.code(), status::unsupported);
-  }
 }
 
 TEST(Reader, SealedBodyDigestCheckedBeforeLzParses) {
@@ -398,7 +392,12 @@ TEST(Reader, SealedBodyDigestCheckedBeforeLzParses) {
 }
 
 TEST(Reader, StreamingByteSourceFetchesOnDemand) {
-  fixture fx;
+  // The lazy-fetch contract, byte for byte: an open pulls the header and
+  // the trailing directory and nothing else; a read pulls exactly the
+  // covering chunk's archive bytes; a cached chunk pulls nothing.
+  fixture fx({64, 8, 16}, 1, 19);  // 16 chunks
+  const fmt::chunk_container_view cv = fmt::parse_chunk_container(fx.arch);
+  ASSERT_EQ(cv.entries.size(), 16u);
   std::atomic<u64> bytes_pulled{0};
   reader<f32>::byte_source src = [&](u8* dst, u64 off, std::size_t n) {
     ASSERT_LE(off + n, fx.arch.size());
@@ -406,36 +405,24 @@ TEST(Reader, StreamingByteSourceFetchesOnDemand) {
     bytes_pulled.fetch_add(n, std::memory_order_relaxed);
   };
   reader<f32> r(src, fx.arch.size(), quiet_opts());
-  const auto part = r.read(0, fx.chunk_elems);  // one chunk's worth
-  for (u64 i = 0; i < fx.chunk_elems; ++i) ASSERT_EQ(part[i], fx.full[i]);
-  // Header + directory + one chunk archive — far less than the container.
-  EXPECT_LT(bytes_pulled.load(), fx.arch.size());
+  const u64 at_open = sizeof(fmt::chunk_header_v3) +
+                      cv.entries.size() * sizeof(fmt::chunk_dir_entry) +
+                      sizeof(u64);
+  EXPECT_EQ(at_open, 704u);
+  EXPECT_EQ(bytes_pulled.load(), at_open);
 
-  // Streaming open honors a sidecar too (the whole-container digest
-  // check streams the body; reads still fetch only covering chunks).
-  const std::vector<u8> idx = r.export_index();
-  reader<f32> r2(src, fx.arch.size(), idx, quiet_opts());
-  EXPECT_TRUE(r2.stats().index_used);
-  const auto tail = r2.read(fx.d.len() - 100, 100);
-  for (u64 i = 0; i < 100; ++i) {
-    ASSERT_EQ(tail[i], fx.full[fx.d.len() - 100 + i]);
+  u64 expect = at_open;
+  for (const std::size_t k : {0, 7, 15}) {
+    const fmt::chunk_dir_entry& e = cv.entries[k];
+    const u64 off = e.raw_offset + e.raw_len / 3;
+    const auto part = r.read(off, 16);  // inside chunk k
+    for (u64 i = 0; i < 16; ++i) ASSERT_EQ(part[i], fx.full[off + i]);
+    expect += e.archive_bytes;
+    EXPECT_EQ(bytes_pulled.load(), expect) << "chunk " << k;
   }
-}
-
-TEST(Reader, OpenFileRoundTripsThroughDisk) {
-  fixture fx;
-  const std::string path = testing::TempDir() + "reader_rt.fzm";
-  const std::string idx_path = testing::TempDir() + "reader_rt.fzx";
-  data::write_file(path, fx.arch);
-  auto r = reader<f32>::open_file(path, quiet_opts());
-  data::write_file(idx_path, r.export_index());
-  const auto part = r.read(64, 128);
-  for (u64 i = 0; i < 128; ++i) ASSERT_EQ(part[i], fx.full[64 + i]);
-
-  auto r2 = reader<f32>::open_file(path, idx_path, quiet_opts());
-  EXPECT_TRUE(r2.stats().index_used);
-  const auto part2 = r2.read(64, 128);
-  for (u64 i = 0; i < 128; ++i) ASSERT_EQ(part2[i], fx.full[64 + i]);
+  // A second read of a cached chunk fetches nothing.
+  (void)r.read(cv.entries[7].raw_offset, 4);
+  EXPECT_EQ(bytes_pulled.load(), expect);
 }
 
 TEST(Reader, ConcurrentReadersShareTheCache) {
@@ -495,10 +482,10 @@ TEST(Reader, SnapshotMakeReaderMatchesFullReadSlice) {
 TEST(ReaderOptions, EnvResolutionAndOverrides) {
   reader_options o;
   o.cache_bytes = 4096;
-  o.cache_mb = 7;
   EXPECT_EQ(o.resolve_cache_bytes(), 4096u);  // explicit bytes win
-  o.cache_bytes = 0;
-  EXPECT_EQ(o.resolve_cache_bytes(), 7u << 20);
+  setenv("FZMOD_READER_CACHE_MB", "7", 1);
+  EXPECT_EQ(o.resolve_cache_bytes(), 4096u);  // ...over the environment too
+  unsetenv("FZMOD_READER_CACHE_MB");
   o.prefetch = 3;
   EXPECT_EQ(o.resolve_prefetch(), 3u);
   o.prefetch = 0;

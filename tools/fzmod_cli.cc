@@ -73,8 +73,6 @@ using namespace fzmod;
                " multi-field container)\n"
                "                   [--reader-cache-mb N] [--prefetch N]"
                " (seekable reader; docs/RUNTIME.md)\n"
-               "                   [--index OUT.fzx] [--use-index IN.fzx]"
-               " (sidecar chunk index)\n"
                "  fzmod inspect    -i IN.fzmod [--field NAME] |"
                " --pipeline SPEC\n"
                "  fzmod modules    (list registered stage modules)\n"
@@ -404,14 +402,14 @@ int cmd_decompress(const args& a) {
   // (LRU chunk cache + prefetch, docs/RUNTIME.md); otherwise the one-shot
   // chunk-parallel decode path is used.
   const bool use_reader = a.has("--range") || a.has("--reader-cache-mb") ||
-                          a.has("--prefetch") || a.has("--index") ||
-                          a.has("--use-index");
+                          a.has("--prefetch");
   stopwatch sw;
   std::vector<f32> field;
   if (use_reader) {
     core::reader_options ropt;
     if (a.has("--reader-cache-mb")) {
-      ropt.cache_mb = static_cast<std::size_t>(flag_u64(a, "--reader-cache-mb"));
+      ropt.cache_bytes = static_cast<std::size_t>(
+          flag_u64(a, "--reader-cache-mb") << 20);
     }
     if (a.has("--prefetch")) {
       ropt.prefetch = static_cast<int>(flag_u64(a, "--prefetch"));
@@ -420,12 +418,7 @@ int cmd_decompress(const args& a) {
       ropt.jobs = static_cast<unsigned>(flag_u64(a, "--jobs"));
       if (ropt.jobs == 0) usage("bad --jobs: must be >= 1");
     }
-    std::vector<u8> index;
-    if (a.has("--use-index")) index = data::read_file(a.get("--use-index"));
-    reader<f32> r(archive, index, ropt);
-    if (a.has("--index")) {
-      data::write_file(a.get("--index"), r.export_index());
-    }
+    reader<f32> r(archive, ropt);
     if (a.has("--range")) {
       const auto [off, cnt] = parse_range(a.get("--range"));
       field = r.read(off, cnt);
@@ -435,13 +428,12 @@ int cmd_decompress(const args& a) {
     const auto st = r.stats();
     std::fprintf(stderr,
                  "reader: %llu reads, hit rate %.1f%%, %llu evictions, "
-                 "prefetch %llu issued / %llu used%s\n",
+                 "prefetch %llu issued / %llu used\n",
                  static_cast<unsigned long long>(st.reads),
                  100.0 * st.hit_rate(),
                  static_cast<unsigned long long>(st.evictions),
                  static_cast<unsigned long long>(st.prefetch_issued),
-                 static_cast<unsigned long long>(st.prefetch_used),
-                 st.index_used ? ", index used" : "");
+                 static_cast<unsigned long long>(st.prefetch_used));
   } else {
     core::chunked_pipeline<f32> pipe(core::pipeline_config{}, chunk_opts(a));
     field = pipe.decompress(archive);
