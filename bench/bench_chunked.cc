@@ -6,6 +6,9 @@
 //   - speedup vs the 1-stream run of the same binary
 //   - in-flight peak device memory (runtime_stats::device_bytes_peak over
 //     the measured run — the bounded-window scheduler's memory footprint)
+//   - the CPUs the process may run on (its affinity mask), so a run pinned
+//     with `taskset -c 0` is the one-core denominator of scaling efficiency
+//     (jobs-4 GB/s ÷ (4 × pinned GB/s); see EXPERIMENTS.md)
 //
 // The field defaults to 64 MiB of f32 (the ISSUE-3 evidence size); chunk
 // size defaults to 4 MiB so even the smallest field splits into enough
@@ -24,6 +27,8 @@
 //                              (default 0.75 — a functional floor; the
 //                              2x scaling target needs >= 4 real cores,
 //                              see docs/RUNTIME.md)
+#include <sched.h>
+
 #include <cmath>
 
 #include "bench_common.hh"
@@ -43,6 +48,13 @@ struct jobs_report {
   u64 peak_device_bytes = 0;
   u64 archive_bytes = 0;
 };
+
+/// CPUs in this process's affinity mask (0 if it cannot be read).
+int affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  return sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 0;
+}
 
 int chunked_main() {
   const std::size_t field_mb = static_cast<std::size_t>(
@@ -66,9 +78,11 @@ int chunked_main() {
   const eb_config eb{1e-4, eb_mode::rel};
   const auto cfg = core::pipeline_config::preset_default(eb);
 
+  const int cpus = affinity_cpus();
   bench::print_header(
       ("chunked scaling bench — " + std::to_string(field_mb) +
-       " MiB f32 field, " + std::to_string(chunk_mb) + " MiB chunks")
+       " MiB f32 field, " + std::to_string(chunk_mb) + " MiB chunks, " +
+       std::to_string(cpus) + " CPUs")
           .c_str());
   std::printf("%6s %8s %10s %10s %12s %12s %14s\n", "jobs", "chunks",
               "comp GB/s", "dec GB/s", "chunks/s", "speedup", "peak dev MiB");
@@ -139,11 +153,11 @@ int chunked_main() {
       std::fprintf(
           f,
           "{\"bench\":\"chunked\",\"field_mb\":%zu,\"chunk_mb\":%zu,"
-          "\"jobs\":%u,\"nchunks\":%llu,\"comp_gbps\":%.4f,"
+          "\"cpus\":%d,\"jobs\":%u,\"nchunks\":%llu,\"comp_gbps\":%.4f,"
           "\"decomp_gbps\":%.4f,\"chunks_per_s\":%.2f,"
           "\"speedup_vs_1\":%.4f,\"peak_device_bytes\":%llu,"
           "\"archive_bytes\":%llu,\"bound_ok\":%s,\"identity_ok\":%s}\n",
-          field_mb, chunk_mb, r.jobs,
+          field_mb, chunk_mb, cpus, r.jobs,
           static_cast<unsigned long long>(r.nchunks), r.comp_gbps,
           r.decomp_gbps, r.chunks_per_s,
           reports.front().comp_s / r.comp_s,

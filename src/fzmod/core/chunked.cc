@@ -8,7 +8,6 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "fzmod/common/env.hh"
 #include "fzmod/kernels/chunked_hash.hh"
@@ -30,75 +29,72 @@ dtype dtype_of<f64>() {
 }
 
 /// Decode every chunk of a container into `out` (the full field) across
-/// up to `jobs` worker threads, each with its own stream + pipeline
-/// (per-slot scratch, no sharing).
+/// up to `jobs` slots run as pool work (the caller runs one), each with
+/// its own stream + pipeline (per-slot scratch, no sharing).
 template <class T>
 void decode_chunks(const fmt::chunk_container_view& cv,
                    const pipeline_config& cfg, unsigned jobs, T* out) {
   const std::size_t total = cv.entries.size();
-  const unsigned nworkers =
+  const unsigned nslots =
       static_cast<unsigned>(std::min<std::size_t>(std::max(1u, jobs), total));
-  trace::counter("chunked.slots", static_cast<f64>(nworkers));
+  trace::counter("chunked.slots", static_cast<f64>(nslots));
 
   std::atomic<u64> next{0};
   std::atomic<int> active{0};
   std::atomic<bool> failed{false};
-  std::mutex err_mu;
-  std::exception_ptr err;
-
-  auto worker = [&] {
-    // Stream declared last: its dtor drains before the slot's buffers
-    // free, so an exception mid-chunk can't strand a queued copy into a
-    // block the pool has already rebinned.
-    device::buffer<T> dev;
-    pipeline<T> pipe(cfg);
-    device::stream s;
-    for (;;) {
-      const u64 i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= total || failed.load(std::memory_order_relaxed)) break;
-      const fmt::chunk_dir_entry& e = cv.entries[i];
-      const u64 t0 = trace::enabled() ? trace::now_ns() : 0;
-      if (t0) {
-        trace::counter("chunked.inflight",
-                       static_cast<f64>(1 + active.fetch_add(
-                                                1, std::memory_order_relaxed)));
-      }
-      try {
-        const std::span<const u8> bytes = fmt::chunk_archive(cv, e);
-        FZMOD_REQUIRE(fmt::chunk_digest_ok(e, bytes), status::corrupt_archive,
-                      "chunk at element " + std::to_string(e.raw_offset) +
-                          ": archive digest mismatch");
-        dev.ensure(e.raw_len, device::space::device);
-        pipe.decompress(bytes, dev, s);
-        device::memcpy_async(out + e.raw_offset, dev.data(),
-                             e.raw_len * sizeof(T), device::copy_kind::d2h,
-                             s);
-        s.sync();
-        if (t0) {
-          trace::complete("chunked", "dechunk#" + std::to_string(i), t0,
-                          trace::now_ns() - t0, 0,
-                          static_cast<f64>(e.raw_len));
-          trace::counter(
-              "chunked.inflight",
-              static_cast<f64>(active.fetch_sub(
-                                   1, std::memory_order_relaxed) -
-                               1));
-        }
-      } catch (...) {
-        if (t0) active.fetch_sub(1, std::memory_order_relaxed);
-        std::lock_guard lk(err_mu);
-        if (!err) err = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
+  const auto claim = [&] {
+    const u64 i = next.fetch_add(1, std::memory_order_relaxed);
+    return failed.load(std::memory_order_relaxed) ? total : i;
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(nworkers);
-  for (unsigned w = 0; w < nworkers; ++w) threads.emplace_back(worker);
-  for (auto& t : threads) t.join();
-  if (err) std::rethrow_exception(err);
+  device::runtime::instance().pool().parallel_for(
+      nslots, 1, [&](std::size_t, std::size_t) {
+        u64 i = claim();
+        if (i >= total) return;
+        // The slot's working set is built on its first claim. Stream
+        // declared last: its dtor drains before the slot's buffers free,
+        // so an exception mid-chunk can't strand a queued copy into a
+        // block the pool has already rebinned.
+        device::buffer<T> dev;
+        pipeline<T> pipe(cfg);
+        device::stream s;
+        for (; i < total; i = claim()) {
+          const fmt::chunk_dir_entry& e = cv.entries[i];
+          const u64 t0 = trace::enabled() ? trace::now_ns() : 0;
+          if (t0) {
+            trace::counter(
+                "chunked.inflight",
+                static_cast<f64>(
+                    1 + active.fetch_add(1, std::memory_order_relaxed)));
+          }
+          try {
+            const std::span<const u8> bytes = fmt::chunk_archive(cv, e);
+            FZMOD_REQUIRE(fmt::chunk_digest_ok(e, bytes),
+                          status::corrupt_archive,
+                          "chunk at element " + std::to_string(e.raw_offset) +
+                              ": archive digest mismatch");
+            dev.ensure(e.raw_len, device::space::device);
+            pipe.decompress(bytes, dev, s);
+            device::memcpy_async(out + e.raw_offset, dev.data(),
+                                 e.raw_len * sizeof(T),
+                                 device::copy_kind::d2h, s);
+            s.sync();
+          } catch (...) {
+            if (t0) active.fetch_sub(1, std::memory_order_relaxed);
+            failed.store(true, std::memory_order_relaxed);
+            throw;  // parallel_for rethrows the first error on the caller
+          }
+          if (t0) {
+            trace::complete("chunked", "dechunk#" + std::to_string(i), t0,
+                            trace::now_ns() - t0, 0,
+                            static_cast<f64>(e.raw_len));
+            trace::counter(
+                "chunked.inflight",
+                static_cast<f64>(
+                    active.fetch_sub(1, std::memory_order_relaxed) - 1));
+          }
+        }
+      });
 }
 
 }  // namespace
@@ -242,7 +238,7 @@ template <class T>
 chunked_pipeline<T>::chunked_pipeline(pipeline_config cfg, chunked_options opt)
     : cfg_(std::move(cfg)), opt_(opt) {
   // Resolve module names once up front so a bad config throws here, not
-  // on a scheduler worker thread mid-stream.
+  // in a chunk slot mid-stream.
   pipeline<T> probe(cfg_);
   (void)probe;
 }
@@ -340,12 +336,12 @@ void chunked_pipeline<T>::compress_stream(const source_fn& src, dims3 dims,
       static_cast<u64>(chunk_elems) * sizeof(T), opt_.resolve_jobs());
   const u64 window = budget.window;
   const u64 remaining = nchunks - progress.first_chunk;
-  const unsigned nworkers = static_cast<unsigned>(
+  const unsigned nslots = static_cast<unsigned>(
       std::min<u64>(budget.workers, std::max<u64>(remaining, 1)));
-  trace::counter("chunked.slots", static_cast<f64>(nworkers));
+  trace::counter("chunked.slots", static_cast<f64>(nslots));
   if (progress.io) {
     progress.io->window = window;
-    progress.io->workers = nworkers;
+    progress.io->workers = nslots;
     progress.io->chunks_total = nchunks;
     progress.io->chunks_resumed = progress.first_chunk;
   }
@@ -369,27 +365,31 @@ void chunked_pipeline<T>::compress_stream(const source_fn& src, dims3 dims,
   }
   mem_ledger ledger;
 
-  auto worker = [&] {
-    // Per-slot working set: the chunk pipelines never share scratch. The
-    // stream is declared last so it drains before the slot's buffers
-    // free on an exception path.
+  // Claim the next chunk once the window admits it; false when no chunk
+  // is left or a slot has failed.
+  const auto claim = [&](u64& c, u64& inflight) {
+    std::unique_lock lk(sh.mu);
+    sh.cv.wait(lk, [&] {
+      return sh.err || sh.next >= nchunks || sh.next < sh.committed + window;
+    });
+    if (sh.err || sh.next >= nchunks) return false;
+    c = sh.next++;
+    inflight = sh.next - sh.committed;  // claimed-but-uncommitted
+    return true;
+  };
+
+  const auto slot = [&](std::size_t, std::size_t) {
+    u64 c = 0;
+    u64 inflight = 0;
+    if (!claim(c, inflight)) return;
+    // Per-slot working set, built on the slot's first claim: the chunk
+    // pipelines never share scratch. The stream is declared last so it
+    // drains before the slot's buffers free on an exception path.
     device::buffer<T> dev;
     std::vector<T> stage;
     pipeline<T> pipe(cfg_);
     device::stream s;
-    for (;;) {
-      u64 c;
-      u64 inflight = 0;
-      {
-        std::unique_lock lk(sh.mu);
-        sh.cv.wait(lk, [&] {
-          return sh.err || sh.next >= nchunks ||
-                 sh.next < sh.committed + window;
-        });
-        if (sh.err || sh.next >= nchunks) break;
-        c = sh.next++;
-        inflight = sh.next - sh.committed;  // claimed-but-uncommitted
-      }
+    do {
       const u64 t0 = trace::enabled() ? trace::now_ns() : 0;
       if (t0) trace::counter("chunked.inflight", static_cast<f64>(inflight));
       const chunk_extent& e = extents[c];
@@ -444,16 +444,14 @@ void chunked_pipeline<T>::compress_stream(const source_fn& src, dims3 dims,
         std::lock_guard lk(sh.mu);
         if (!sh.err) sh.err = std::current_exception();
         sh.cv.notify_all();
-        break;
+        return;
       }
-    }
+    } while (claim(c, inflight));
   };
 
+  // Slots run as pool work: the caller runs one, free workers the others.
   if (remaining > 0) {
-    std::vector<std::thread> threads;
-    threads.reserve(nworkers);
-    for (unsigned w = 0; w < nworkers; ++w) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
+    device::runtime::instance().pool().parallel_for(nslots, 1, slot);
   }
   if (sh.err) std::rethrow_exception(sh.err);
   const u64 peak = ledger.peak.load(std::memory_order_relaxed);

@@ -27,6 +27,13 @@
 // resolves per chunk against the chunk's own value range, which is at most
 // the field's range: every chunk therefore satisfies the field-level bound.
 //
+// Slots are pool work, not threads of their own: a call runs its `jobs`
+// slots through `thread_pool::parallel_for`, so the caller runs one and
+// free pool workers run the others (at most pool size + 1 at once). A slot
+// builds its pipeline, stream and buffers when it claims its first chunk
+// and drops them when the call returns; its stream ops run in place on the
+// slot's thread (device/runtime.hh), so kernels never wait for a worker.
+//
 // When the plan yields a single chunk the container is bypassed entirely
 // and the output is the standard v2 archive, byte-identical to
 // `core::pipeline` — existing readers and tests see no difference.
@@ -72,7 +79,7 @@ struct chunked_options {
 /// Pure function of its inputs so tests pin the semantics directly.
 struct stream_budget {
   u64 window = 0;       // max claimed-but-uncommitted chunks
-  unsigned workers = 0; // scheduler worker threads
+  unsigned workers = 0; // chunk slots (run as pool work)
   u64 read_slots = 0;   // staging buffers the file source fills ahead
   u64 write_bytes = 0;  // writer queue byte budget
 };
@@ -87,7 +94,7 @@ struct stream_budget {
 /// and the accounted peak as `stream.peak_bytes` (docs/OBSERVABILITY.md).
 struct stream_io_stats {
   u64 window = 0;          // resolved in-flight window
-  unsigned workers = 0;    // resolved scheduler threads
+  unsigned workers = 0;    // resolved chunk slots
   u64 read_slots = 0;      // resolved staging depth
   u64 chunks_total = 0;    // planned chunks
   u64 chunks_resumed = 0;  // chunks salvaged from a prior interrupted run
@@ -154,8 +161,9 @@ template <class T>
 class chunked_pipeline {
  public:
   /// Pull `n` elements starting at `elem_offset` into `dst`. Called from
-  /// scheduler worker threads, possibly concurrently for different chunks:
-  /// sources must be safe for concurrent reads of disjoint ranges.
+  /// chunk slots (the caller and pool workers), possibly concurrently for
+  /// different chunks: sources must be safe for concurrent reads of
+  /// disjoint ranges.
   using source_fn =
       std::function<void(T* dst, u64 elem_offset, std::size_t n)>;
   /// Ordered output writer: receives the container bytes front to back.

@@ -321,6 +321,14 @@ class buffer {
 /// the queue drains. Distinct streams run concurrently. Ops are SBO tasks
 /// in a capacity-retaining ring — enqueueing a kernel is allocation-free
 /// once the stream has warmed up.
+///
+/// Pool work (thread_pool::in_pool_work) that enqueues on a stream with
+/// nothing queued or running runs the op in place, on its own thread: a
+/// worker must never block in `sync()` on a drain queued behind it. Every
+/// other enqueue hands the stream to a drain on the pool. Both paths share
+/// one error contract: once an op throws, ops enqueued before the `sync()`
+/// that reports the error are skipped; that `sync()` rethrows it and the
+/// stream works again afterwards.
 class stream {
  public:
   stream() : id_(next_id()) {}
@@ -338,10 +346,14 @@ class stream {
   void enqueue(F&& op) {
     trace::instant("stream", "enqueue", id_);
     std::unique_lock lk(mu_);
+    if (pending_error_) return;  // skipped until sync() reports the error
     ops_.push(unique_task(std::forward<F>(op)));
-    if (!running_) {
-      running_ = true;
-      lk.unlock();
+    if (running_) return;
+    running_ = true;
+    lk.unlock();
+    if (thread_pool::in_pool_work()) {
+      drain();
+    } else {
       runtime::instance().pool().submit_detached([this] { drain(); });
     }
   }
@@ -373,9 +385,10 @@ class stream {
         op();
       } catch (...) {
         std::lock_guard lk(mu_);
-        // First error wins; later ops are abandoned (queue is cleared) so a
-        // failed kernel does not feed garbage into its successors.
-        if (!pending_error_) pending_error_ = std::current_exception();
+        // Later ops are abandoned (the queue is cleared, and enqueue drops
+        // new ones until sync) so a failed kernel does not feed garbage
+        // into its successors.
+        pending_error_ = std::current_exception();
         ops_.clear();
       }
     }

@@ -2,10 +2,13 @@
 //
 // The pool plays the role of the GPU's SM array in this reproduction: kernel
 // launches are decomposed into block-sized chunks and executed by pool
-// workers. It is deliberately small and boring — fixed worker count, one
-// shared FIFO, condition-variable wakeup — because the interesting
-// scheduling lives a layer up (streams order work; the STF layer builds
-// DAGs).
+// workers. Stream drains, STF task bodies and the chunk scheduler's slots
+// (core/chunked.cc) all run as pool work. It stays small — fixed worker
+// count, one shared FIFO, condition-variable wakeup, and a `parallel_for`
+// whose caller runs chunks too — and marks every thread that is running
+// pool work (`in_pool_work()`), so streams can run that work's ops in place
+// instead of blocking a worker on a drain queued behind it
+// (device/runtime.hh).
 //
 // The job queue and completion signalling are allocation-free in steady
 // state: jobs are `unique_task`s (small-buffer optimized, move-only) held
@@ -66,6 +69,10 @@ class thread_pool {
     return static_cast<unsigned>(workers_.size());
   }
 
+  /// True while the calling thread runs pool work: a worker for its whole
+  /// life, a parallel_for caller while it runs chunks.
+  [[nodiscard]] static bool in_pool_work() { return in_pool_work_; }
+
   /// Enqueue a job. The returned future completes when the job finishes;
   /// exceptions propagate through it. (The promise's shared state is the
   /// one allocation — submit() is the cold, observable path; the hot paths
@@ -100,13 +107,15 @@ class thread_pool {
 
   /// Blocking parallel-for: split [0, n) into ~grain-sized chunks, run them
   /// on the pool, and also help from the calling thread (so nested use from
-  /// a pool worker cannot deadlock on a saturated queue).
+  /// a pool worker cannot deadlock on a saturated queue). The caller is
+  /// pool work while it runs chunks.
   template <class F>
   void parallel_for(std::size_t n, std::size_t grain, F&& body) {
     if (n == 0) return;
     const std::size_t nchunks =
         grain == 0 ? 1 : (n + grain - 1) / grain;
     if (nchunks <= 1) {
+      const pool_work_scope as_pool_work;
       body(std::size_t{0}, n);
       return;
     }
@@ -150,7 +159,10 @@ class thread_pool {
         pf_release(st);
       });
     }
-    run_chunks();
+    {
+      const pool_work_scope as_pool_work;
+      run_chunks();
+    }
     {
       std::unique_lock lk(st->mu);
       st->cv.wait(lk, [&] {
@@ -163,6 +175,19 @@ class thread_pool {
   }
 
  private:
+  /// Marks the calling thread as running pool work for one scope,
+  /// restoring the previous mark (a worker's stays set) on exit.
+  class pool_work_scope {
+   public:
+    pool_work_scope() : prev_(in_pool_work_) { in_pool_work_ = true; }
+    ~pool_work_scope() { in_pool_work_ = prev_; }
+    pool_work_scope(const pool_work_scope&) = delete;
+    pool_work_scope& operator=(const pool_work_scope&) = delete;
+
+   private:
+    bool prev_;
+  };
+
   /// Completion block for one parallel_for. Pooled: acquire resets the
   /// counters, release returns the block to the free list once the caller
   /// and every helper have dropped their reference.
@@ -203,6 +228,7 @@ class thread_pool {
   }
 
   void worker_loop() {
+    in_pool_work_ = true;
     for (;;) {
       unique_task job;
       {
@@ -233,6 +259,8 @@ class thread_pool {
 
   std::mutex pf_mu_;
   pf_state* pf_free_ = nullptr;
+
+  static inline thread_local bool in_pool_work_ = false;
 };
 
 }  // namespace fzmod::device

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -69,8 +70,8 @@ TEST(Stream, SyncIsIdempotentAndReusable) {
 TEST(Stream, ErrorPropagatesThroughSyncAndClearsQueue) {
   stream s;
   std::atomic<bool> later_ran{false};
-  // Gate the first op so both later ops are enqueued before it throws —
-  // otherwise "clears the queue" would race with enqueue timing.
+  // Gate the first op so both later ops sit queued behind the throwing one
+  // (ops enqueued after it has run are covered below).
   std::mutex gate;
   gate.lock();
   s.enqueue([&gate] { std::lock_guard lk(gate); });
@@ -84,6 +85,88 @@ TEST(Stream, ErrorPropagatesThroughSyncAndClearsQueue) {
   s.enqueue([&x] { x = 7; });
   s.sync();
   EXPECT_EQ(x, 7);
+}
+
+// The post-failure contract, checked without gating: the throwing op has
+// run before the next op is enqueued, so nothing keeps that op queued
+// behind it. It must still be skipped, the next sync() reports the error,
+// and the stream works again afterwards.
+void check_error_skips_ops_until_sync() {
+  stream s;
+  std::atomic<bool> threw{false};
+  s.enqueue([&threw] {
+    threw = true;
+    throw error(status::internal, "kernel died");
+  });
+  while (!threw.load()) std::this_thread::yield();
+  // Let a queued drain go idle first, so the next op cannot be cleared
+  // with the failed drain's queue: only the stream's error state may skip
+  // it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::atomic<bool> later_ran{false};
+  s.enqueue([&later_ran] { later_ran = true; });
+  EXPECT_THROW(s.sync(), error);
+  EXPECT_FALSE(later_ran.load());
+  EXPECT_NO_THROW(s.sync());  // the error was reported once
+  int x = 0;
+  s.enqueue([&x] { x = 7; });
+  s.sync();
+  EXPECT_EQ(x, 7);
+}
+
+TEST(Stream, ErrorSkipsOpsEnqueuedAfterItUntilSync) {
+  EXPECT_FALSE(thread_pool::in_pool_work());
+  check_error_skips_ops_until_sync();
+}
+
+TEST(Stream, ErrorSkipsOpsEnqueuedAfterItUntilSyncInPoolWork) {
+  runtime::instance()
+      .pool()
+      .submit([] {
+        EXPECT_TRUE(thread_pool::in_pool_work());
+        check_error_skips_ops_until_sync();
+      })
+      .get();
+}
+
+struct enqueue_probe {
+  bool done_at_return = false;  // the op had run when enqueue returned
+  bool same_thread = false;     // ...on the enqueueing thread
+};
+
+enqueue_probe probe_enqueue() {
+  stream s;
+  std::atomic<bool> ran{false};
+  std::thread::id ran_on;  // written by the op, read after sync
+  s.enqueue([&] {
+    ran_on = std::this_thread::get_id();
+    ran = true;
+  });
+  enqueue_probe p;
+  p.done_at_return = ran.load();
+  s.sync();
+  p.same_thread = ran_on == std::this_thread::get_id();
+  return p;
+}
+
+TEST(Stream, PoolWorkRunsOpsInPlace) {
+  // A plain thread hands the stream to a drain on a pool worker.
+  EXPECT_FALSE(probe_enqueue().same_thread);
+  // Pool work runs an op on an idle stream in place, before enqueue
+  // returns.
+  enqueue_probe in_task;
+  runtime::instance().pool().submit([&] { in_task = probe_enqueue(); }).get();
+  EXPECT_TRUE(in_task.done_at_return);
+  EXPECT_TRUE(in_task.same_thread);
+  // A parallel_for caller is pool work while it runs chunks, and only then.
+  std::atomic<int> in_place{0};
+  runtime::instance().pool().parallel_for(
+      8, 1, [&](std::size_t, std::size_t) {
+        const enqueue_probe p = probe_enqueue();
+        if (p.done_at_return && p.same_thread) in_place++;
+      });
+  EXPECT_EQ(in_place.load(), 8);
+  EXPECT_FALSE(thread_pool::in_pool_work());
 }
 
 TEST(Event, CrossStreamOrdering) {

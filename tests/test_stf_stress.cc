@@ -208,5 +208,37 @@ TEST(StfStress, ManyIndependentChains) {
   }
 }
 
+TEST(StfStress, IndependentKernelTasksOutnumberingWorkers) {
+  // Every task body launches a kernel on its stream and the task syncs
+  // that stream on a pool worker. With more ready tasks than workers, a
+  // worker that waited on a drain queued behind the other tasks would
+  // never wake; pool work runs its stream ops in place instead.
+  constexpr int ntasks = 32;
+  constexpr std::size_t len = 3 * (std::size_t{1} << 14) + 5;  // > 1 block
+  context ctx;
+  std::vector<logical_data<i64>> outs;
+  for (int k = 0; k < ntasks; ++k) {
+    outs.push_back(ctx.make_data<i64>(len));
+    ctx.submit(
+        "kernel", place::device,
+        [k](device::stream& s, device::buffer<i64>& d) {
+          i64* p = d.data();
+          device::launch(s, d.size(), [p, k](std::size_t i) {
+            p[i] = i64{k} * 1000003 + static_cast<i64>(i);
+          });
+        },
+        write(outs.back()));
+  }
+  ctx.finalize();
+  for (int k = 0; k < ntasks; ++k) {
+    const auto got = outs[static_cast<std::size_t>(k)].fetch_host();
+    ASSERT_EQ(got.size(), len);
+    for (std::size_t i = 0; i < len; ++i) {
+      ASSERT_EQ(got[i], i64{k} * 1000003 + static_cast<i64>(i))
+          << "task " << k << " element " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fzmod::stf

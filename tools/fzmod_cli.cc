@@ -24,6 +24,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 
 #include "fzmod/common/env.hh"
@@ -94,13 +95,18 @@ using namespace fzmod;
   std::exit(2);
 }
 
-/// Tiny flag parser: --key value / -k value pairs plus boolean flags.
+/// Tiny flag parser: --key value / -k value pairs plus boolean flags,
+/// restricted to the flags the command reads (`known`).
 class args {
  public:
-  args(int argc, char** argv, int first) {
+  args(int argc, char** argv, int first, const std::string& cmd,
+       const std::set<std::string>& known) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind('-', 0) != 0) usage(("unexpected token: " + key).c_str());
+      if (!known.count(key)) {
+        usage((cmd + " does not take " + key).c_str());
+      }
       if (key == "--secondary" || key == "--stdio" || key == "--stream" ||
           key == "--resume") {
         flags_[key] = "1";
@@ -703,22 +709,48 @@ int cmd_selftest() {
   return ok ? 0 : 1;
 }
 
+/// Every command with the flags it reads, as its usage line lists them.
+/// Any other flag is a usage error, so a typo or a retired flag fails
+/// loudly instead of being dropped.
+struct command {
+  int (*run)(const args&);
+  std::set<std::string> flags;
+};
+
+const std::map<std::string, command>& commands() {
+  static const std::map<std::string, command> table = {
+      {"compress",
+       {cmd_compress,
+        {"-i", "-o", "--dims", "--eb", "--mode", "--preset", "--pipeline",
+         "--predictor", "--codec", "--secondary", "--auto", "--chunk-mb",
+         "--jobs", "--trace", "--trace-dot", "--stream", "--stream-mem-mb",
+         "--resume", "--fields"}}},
+      {"decompress",
+       {cmd_decompress,
+        {"-i", "-o", "--jobs", "--range", "--trace", "--field",
+         "--reader-cache-mb", "--prefetch"}}},
+      {"inspect", {cmd_inspect, {"-i", "--field", "--pipeline"}}},
+      {"modules", {[](const args&) { return cmd_modules(); }, {}}},
+      {"gen", {cmd_gen, {"--dataset", "--field", "-o"}}},
+      {"verify", {cmd_verify, {"-i", "--field", "-a", "-b", "--dims"}}},
+      {"serve",
+       {cmd_serve,
+        {"--socket", "--stdio", "--eb", "--mode", "--preset", "--pipeline",
+         "--pool", "--queue", "--deadline-ms", "--workers", "--warm-dims"}}},
+      {"selftest", {[](const args&) { return cmd_selftest(); }, {}}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
+  const auto it = commands().find(cmd);
+  if (it == commands().end()) usage(("unknown command: " + cmd).c_str());
   try {
-    const args a(argc, argv, 2);
-    if (cmd == "compress") return cmd_compress(a);
-    if (cmd == "decompress") return cmd_decompress(a);
-    if (cmd == "inspect") return cmd_inspect(a);
-    if (cmd == "modules") return cmd_modules();
-    if (cmd == "gen") return cmd_gen(a);
-    if (cmd == "verify") return cmd_verify(a);
-    if (cmd == "serve") return cmd_serve(a);
-    if (cmd == "selftest") return cmd_selftest();
-    usage(("unknown command: " + cmd).c_str());
+    return it->second.run(args(argc, argv, 2, cmd, it->second.flags));
   } catch (const error& e) {
     std::fprintf(stderr, "fzmod: %s\n", e.what());
     return 1;
