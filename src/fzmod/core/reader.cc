@@ -1,18 +1,19 @@
 // FZModules — seekable reader implementation. See reader.hh for the model:
 // one parse of the container's trailing directory per open, an LRU cache
 // of decoded chunks under a byte budget, and an N-way stride prefetcher
-// feeding a bounded worker pool. All shared state lives under one mutex;
+// whose speculation runs as pool jobs. A demand miss decodes on the
+// reading thread, as pool work. All shared state lives under one mutex;
 // decoded chunks publish as immutable shared_ptrs, so copies out of the
 // cache run outside the lock.
 
 #include "fzmod/core/reader.hh"
 
+#include <atomic>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <list>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 
 #include "fzmod/common/env.hh"
@@ -94,13 +95,13 @@ unsigned reader_options::resolve_jobs() const {
 }
 
 template <class T>
-struct reader<T>::impl {
+struct reader<T>::impl : std::enable_shared_from_this<impl> {
   // --- immutable after open ------------------------------------------------
   pipeline_config cfg;
   std::size_t cache_budget = 0;
   unsigned ways = 0;
   unsigned njobs = 1;
-  byte_source fetch;        // unified byte access (span or stream)
+  byte_source fetch;        // unified byte access; close() drops it
   u64 total_bytes = 0;      // container size
   bool plain = false;       // v1/v2 archive: one implicit chunk, no digest
   dims3 fdims;
@@ -111,10 +112,14 @@ struct reader<T>::impl {
   fmt::chunk_container_view cv;
 
   // --- shared state (everything below lives under `mu`) --------------------
+  /// A chunk waits `queued` until one thread claims it, stays `decoding`
+  /// while that thread runs the decode, and is `ready` once its data or
+  /// its sticky error is published.
+  enum class phase : u8 { queued, decoding, ready };
   struct entry {
-    std::shared_ptr<const std::vector<T>> data;  // null while decoding
+    std::shared_ptr<const T[]> data;  // set once ready (null on failure)
     std::exception_ptr err;   // sticky decode failure
-    bool ready = false;
+    phase at = phase::queued;
     bool speculative = false;  // prefetched, not yet consumed by a read
     unsigned pinned = 0;       // reads waiting on it (blocks eviction)
     bool in_lru = false;
@@ -122,28 +127,32 @@ struct reader<T>::impl {
   };
 
   std::mutex mu;
-  std::condition_variable cv_ready;  // an entry became ready
-  std::condition_variable cv_work;   // a queue became nonempty / shutdown
+  std::condition_variable cv_ready;  // a decode finished
   std::unordered_map<std::size_t, entry> cache;
   std::list<std::size_t> lru;  // front = most recently used
   std::size_t cached_bytes = 0;
-  std::deque<std::size_t> demand_q;    // served first
-  std::deque<std::size_t> prefetch_q;  // speculation, served when idle
+  std::deque<std::size_t> prefetch_q;  // speculation awaiting a pool job
+  unsigned spec_jobs = 0;     // prefetch jobs submitted and not yet done
+  unsigned spec_running = 0;  // prefetch decodes under way
   bool shutdown = false;
   reader_stats st;
   bool have_prev = false;     // stride predictor state
   std::size_t prev_first = 0;
   i64 last_delta = 0;
 
-  std::vector<std::thread> workers;
-
-  ~impl() {
-    {
-      std::lock_guard lk(mu);
-      shutdown = true;
-    }
-    cv_work.notify_all();
-    for (auto& w : workers) w.join();
+  /// Stop speculation. Queued prefetch jobs hold a reference to this state
+  /// and exit when they run; only decodes already under way are waited
+  /// for, so a reader destroyed from pool work never waits on work queued
+  /// behind it. The cache and the byte source go before this returns.
+  void close() {
+    std::unique_lock lk(mu);
+    shutdown = true;
+    cv_ready.wait(lk, [&] { return spec_running == 0; });
+    prefetch_q.clear();
+    lru.clear();
+    cache.clear();
+    cached_bytes = 0;
+    fetch = nullptr;
   }
 
   // --- open ----------------------------------------------------------------
@@ -152,8 +161,8 @@ struct reader<T>::impl {
     cache_budget = opt.resolve_cache_bytes();
     ways = opt.resolve_prefetch();
     njobs = opt.resolve_jobs();
-    // Resolve module names up front so a bad config throws here, not on a
-    // worker thread mid-read (same contract as chunked_pipeline).
+    // Resolve module names up front so a bad config throws here, not in a
+    // decode mid-read (same contract as chunked_pipeline).
     pipeline<T> probe(cfg);
     (void)probe;
 
@@ -164,10 +173,6 @@ struct reader<T>::impl {
                            : open_plain();
     FZMOD_REQUIRE(type == dtype_of<T>(), status::invalid_argument,
                   "reader: archive holds a different dtype");
-    workers.reserve(njobs);
-    for (unsigned w = 0; w < njobs; ++w) {
-      workers.emplace_back([this] { worker(); });
-    }
   }
 
   /// v3 container open: the header step over the fetched header, then the
@@ -209,7 +214,6 @@ struct reader<T>::impl {
   // --- cache machinery (all *_locked methods require `mu`) -----------------
 
   [[nodiscard]] std::size_t find_chunk(u64 elem) const {
-    std::size_t at = 0;
     // Entries tile the field contiguously; binary search the run start.
     std::size_t lo = 0, hi = cv.entries.size();
     while (lo < hi) {
@@ -220,41 +224,42 @@ struct reader<T>::impl {
         hi = mid;
       }
     }
-    at = lo;
-    return at;
+    return lo;
   }
 
-  /// Record interest in a chunk. Demand requests pin the entry (the
-  /// caller must wait_locked or unpin it) and count hit/miss; speculative
-  /// requests only enqueue if the chunk is absent.
-  void request_locked(std::size_t id, bool demand) {
-    auto it = cache.find(id);
-    if (it != cache.end()) {
-      entry& e = it->second;
-      if (demand) {
-        ++st.hits;
-        ++e.pinned;
-        if (e.speculative) {
-          e.speculative = false;
-          ++st.prefetch_used;
-        }
-        if (e.in_lru) lru.splice(lru.begin(), lru, e.lru_it);
+  [[nodiscard]] std::size_t chunk_bytes(std::size_t id) const {
+    return static_cast<std::size_t>(cv.entries[id].raw_len) * sizeof(T);
+  }
+
+  /// Pin a chunk a read covers (the caller must wait_locked or unpin it)
+  /// and count the hit or miss. True when no thread had started the chunk:
+  /// the caller has claimed it and decodes it.
+  [[nodiscard]] bool demand_locked(std::size_t id) {
+    auto [it, fresh] = cache.try_emplace(id);
+    entry& e = it->second;
+    ++e.pinned;
+    if (fresh) {
+      ++st.misses;
+    } else {
+      ++st.hits;
+      if (e.speculative) {
+        e.speculative = false;
+        ++st.prefetch_used;
       }
-      return;
+      if (e.in_lru) lru.splice(lru.begin(), lru, e.lru_it);
+      if (e.at != phase::queued) return false;
     }
-    if (!demand) {
-      entry e;
-      e.speculative = true;
-      cache.emplace(id, std::move(e));
-      prefetch_q.push_back(id);
-      ++st.prefetch_issued;
-      return;
-    }
-    ++st.misses;
-    entry e;
-    e.pinned = 1;
-    cache.emplace(id, std::move(e));
-    demand_q.push_back(id);
+    e.at = phase::decoding;
+    return true;
+  }
+
+  /// Queue an absent chunk for speculation.
+  void speculate_locked(std::size_t id) {
+    auto [it, fresh] = cache.try_emplace(id);
+    if (!fresh) return;
+    it->second.speculative = true;
+    prefetch_q.push_back(id);
+    ++st.prefetch_issued;
   }
 
   /// Stride predictor: speculate only on a confirmed pattern (two equal
@@ -280,7 +285,7 @@ struct reader<T>::impl {
       for (unsigned k = 0; k < ways; ++k) {
         const std::size_t t = last + k;
         if (t >= cv.entries.size()) break;
-        request_locked(t, /*demand=*/false);
+        speculate_locked(t);
       }
     } else {
       // Strided access: speculate on the predicted first chunks of the
@@ -288,18 +293,32 @@ struct reader<T>::impl {
       for (unsigned k = 1; k <= ways; ++k) {
         const i64 t = static_cast<i64>(first) + static_cast<i64>(k) * step;
         if (t < 0 || t >= static_cast<i64>(cv.entries.size())) break;
-        request_locked(static_cast<std::size_t>(t), /*demand=*/false);
+        speculate_locked(static_cast<std::size_t>(t));
       }
     }
   }
 
+  /// Start prefetch jobs for queued speculation, at most `njobs` at once.
+  /// Each job pops the queue when it runs, so a chunk a demand read has
+  /// claimed meanwhile is simply skipped.
+  void launch_prefetch_locked() {
+    auto& pool = device::runtime::instance().pool();
+    for (std::size_t k = 0; k < prefetch_q.size() && spec_jobs < njobs; ++k) {
+      ++spec_jobs;
+      pool.submit_detached(
+          [self = this->shared_from_this()] { self->prefetch_job(); });
+    }
+  }
+
   /// Wait for a demand-requested chunk, unpin it, and hand back its data.
-  /// Sticky decode failures rethrow here (and on every retry).
-  [[nodiscard]] std::shared_ptr<const std::vector<T>> wait_locked(
+  /// Sticky decode failures rethrow here (and on every retry). Whoever
+  /// decodes the chunk is already running: a read never waits on queued
+  /// work.
+  [[nodiscard]] std::shared_ptr<const T[]> wait_locked(
       std::unique_lock<std::mutex>& lk, std::size_t id) {
     cv_ready.wait(lk, [&] {
       auto it = cache.find(id);
-      return it != cache.end() && it->second.ready;
+      return it != cache.end() && it->second.at == phase::ready;
     });
     entry& e = cache.find(id)->second;
     if (e.pinned) --e.pinned;
@@ -324,7 +343,7 @@ struct reader<T>::impl {
       }
       const std::size_t id = *it;
       entry& e = cache.find(id)->second;
-      cached_bytes -= e.data->size() * sizeof(T);
+      cached_bytes -= chunk_bytes(id);
       ++st.evictions;
       if (e.speculative) ++st.prefetch_wasted;
       lru.erase(it);
@@ -345,83 +364,151 @@ struct reader<T>::impl {
                    static_cast<f64>(st.prefetch_wasted));
   }
 
-  // --- decode workers ------------------------------------------------------
+  // --- decodes -------------------------------------------------------------
 
-  void worker() {
-    // Per-slot working set, chunk-scheduler shape: the stream is declared
-    // last so it drains before the slot's buffers free on unwind.
+  /// One decoder's working set, the chunk scheduler's slot shape: built on
+  /// its first decode and reused for the rest it claims. The stream is
+  /// declared last so it drains before the buffers free on unwind.
+  struct slot {
+    explicit slot(const pipeline_config& c) : pipe(c) {}
     device::buffer<T> dev;
     std::vector<u8> scratch;
-    pipeline<T> pipe(cfg);
+    pipeline<T> pipe;
     device::stream s;
-    std::unique_lock lk(mu);
-    for (;;) {
-      cv_work.wait(lk, [&] {
-        return shutdown || !demand_q.empty() || !prefetch_q.empty();
-      });
-      if (shutdown) break;
-      std::size_t id;
-      if (!demand_q.empty()) {
-        id = demand_q.front();
-        demand_q.pop_front();
-      } else {
-        id = prefetch_q.front();
-        prefetch_q.pop_front();
-      }
-      auto it = cache.find(id);
-      if (it == cache.end() || it->second.ready) continue;
-      lk.unlock();
-      std::shared_ptr<std::vector<T>> data;
-      std::exception_ptr err;
-      const u64 t0 = trace::enabled() ? trace::now_ns() : 0;
-      try {
-        data = decode_one(id, dev, scratch, pipe, s);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      if (t0) {
-        trace::complete("reader", "decode#" + std::to_string(id), t0,
-                        trace::now_ns() - t0, 0,
-                        static_cast<f64>(cv.entries[id].raw_len));
-      }
-      lk.lock();
-      it = cache.find(id);
-      if (it == cache.end()) continue;  // cancelled while decoding
-      entry& e = it->second;
-      e.ready = true;
-      if (err) {
-        e.err = err;
-      } else {
-        e.data = std::move(data);
-        cached_bytes += e.data->size() * sizeof(T);
-        lru.push_front(id);
-        e.lru_it = lru.begin();
-        e.in_lru = true;
-        evict_locked();
-      }
-      cv_ready.notify_all();
+  };
+
+  struct decoded {
+    std::shared_ptr<const T[]> data;
+    std::exception_ptr err;
+  };
+
+  /// Decode one claimed chunk (`mu` not held). Runs as pool work, so the
+  /// pipeline's stream ops run in place on this thread. A failure comes
+  /// back as the chunk's sticky error.
+  [[nodiscard]] decoded decode(std::size_t id, std::unique_ptr<slot>& ws) {
+    const fmt::chunk_dir_entry& e = cv.entries[id];
+    decoded d;
+    const u64 t0 = trace::enabled() ? trace::now_ns() : 0;
+    try {
+      if (!ws) ws = std::make_unique<slot>(cfg);
+      ws->scratch.resize(static_cast<std::size_t>(e.archive_bytes));
+      fetch(ws->scratch.data(), payload_off + e.archive_offset,
+            ws->scratch.size());
+      const std::span<const u8> bytes(ws->scratch);
+      FZMOD_REQUIRE(plain || fmt::chunk_digest_ok(e, bytes),
+                    status::corrupt_archive,
+                    "reader: chunk " + std::to_string(id) +
+                        " archive digest mismatch");
+      // The d2h copy writes every element, so nothing is initialised first.
+      std::shared_ptr<T[]> out = std::make_shared_for_overwrite<T[]>(
+          static_cast<std::size_t>(e.raw_len));
+      ws->dev.ensure(e.raw_len, device::space::device);
+      ws->pipe.decompress(bytes, ws->dev, ws->s);
+      device::memcpy_async(out.get(), ws->dev.data(), e.raw_len * sizeof(T),
+                           device::copy_kind::d2h, ws->s);
+      ws->s.sync();
+      d.data = std::move(out);
+    } catch (...) {
+      d.err = std::current_exception();
     }
+    if (t0) {
+      trace::complete("reader", "decode#" + std::to_string(id), t0,
+                      trace::now_ns() - t0, 0, static_cast<f64>(e.raw_len));
+    }
+    return d;
   }
 
-  [[nodiscard]] std::shared_ptr<std::vector<T>> decode_one(
-      std::size_t id, device::buffer<T>& dev, std::vector<u8>& scratch,
-      pipeline<T>& pipe, device::stream& s) {
-    const fmt::chunk_dir_entry& e = cv.entries[id];
-    scratch.resize(static_cast<std::size_t>(e.archive_bytes));
-    fetch(scratch.data(), payload_off + e.archive_offset, scratch.size());
-    const std::span<const u8> bytes(scratch.data(), scratch.size());
-    FZMOD_REQUIRE(plain || fmt::chunk_digest_ok(e, bytes),
-                  status::corrupt_archive,
-                  "reader: chunk " + std::to_string(id) +
-                      " archive digest mismatch");
-    auto out = std::make_shared<std::vector<T>>(
-        static_cast<std::size_t>(e.raw_len));
-    dev.ensure(e.raw_len, device::space::device);
-    pipe.decompress(bytes, dev, s);
-    device::memcpy_async(out->data(), dev.data(), e.raw_len * sizeof(T),
-                         device::copy_kind::d2h, s);
-    s.sync();
-    return out;
+  /// Publish a finished decode: mark the entry ready, cache its data (or
+  /// keep its error, sticky) and wake the reads waiting on it. A claimed
+  /// entry is never evicted, and close() waits for running decodes, so
+  /// the entry is still there.
+  void publish_locked(std::size_t id, decoded d) {
+    entry& e = cache.at(id);
+    e.at = phase::ready;
+    if (d.err) {
+      e.err = std::move(d.err);
+    } else {
+      e.data = std::move(d.data);
+      cached_bytes += chunk_bytes(id);
+      lru.push_front(id);
+      e.lru_it = lru.begin();
+      e.in_lru = true;
+      evict_locked();
+    }
+    cv_ready.notify_all();
+  }
+
+  /// Decode the chunks a read claimed, on the reading thread as pool work:
+  /// one parallel_for over min(jobs, claimed) slots, the caller running
+  /// one, each slot claiming chunks until none is left.
+  void decode_claimed(const std::vector<std::size_t>& ids) {
+    if (ids.empty()) return;
+    std::atomic<std::size_t> next{0};
+    const std::size_t nslots = std::min<std::size_t>(njobs, ids.size());
+    device::runtime::instance().pool().parallel_for(
+        nslots, 1, [&](std::size_t, std::size_t) {
+          std::unique_ptr<slot> ws;
+          for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+               k < ids.size();
+               k = next.fetch_add(1, std::memory_order_relaxed)) {
+            decoded d = decode(ids[k], ws);
+            std::lock_guard lk(mu);
+            publish_locked(ids[k], std::move(d));
+          }
+        });
+  }
+
+  /// A prefetch job: pops speculation until the queue is empty or the
+  /// reader closes, skipping chunks a demand read has claimed.
+  void prefetch_job() {
+    std::unique_ptr<slot> ws;
+    std::unique_lock lk(mu);
+    while (!shutdown && !prefetch_q.empty()) {
+      const std::size_t id = prefetch_q.front();
+      prefetch_q.pop_front();
+      auto it = cache.find(id);
+      if (it == cache.end() || it->second.at != phase::queued) continue;
+      it->second.at = phase::decoding;
+      ++spec_running;
+      lk.unlock();
+      decoded d = decode(id, ws);
+      lk.lock();
+      publish_locked(id, std::move(d));
+      --spec_running;
+    }
+    --spec_jobs;
+  }
+
+  /// Serve a demand for chunks [first, last): pin them and let `speculate`
+  /// queue prefetch under the lock, decode every chunk no thread had
+  /// started, then wait for the rest. Returns the chunks' data in order.
+  template <class Speculate>
+  [[nodiscard]] std::vector<std::shared_ptr<const T[]>> demand(
+      std::size_t first, std::size_t last, Speculate&& speculate) {
+    std::vector<std::size_t> claimed;
+    {
+      std::lock_guard lk(mu);
+      ++st.reads;
+      for (std::size_t id = first; id < last; ++id) {
+        if (demand_locked(id)) claimed.push_back(id);
+      }
+      speculate();
+      launch_prefetch_locked();
+    }
+    decode_claimed(claimed);
+
+    std::vector<std::shared_ptr<const T[]>> datas(last - first);
+    std::unique_lock lk(mu);
+    std::size_t at = first;
+    try {
+      for (; at < last; ++at) datas[at - first] = wait_locked(lk, at);
+    } catch (...) {
+      for (std::size_t id = at + 1; id < last; ++id) unpin_locked(id);
+      sample_counters_locked();
+      throw;
+    }
+    sample_counters_locked();
+    return datas;
   }
 };
 
@@ -445,7 +532,7 @@ reader<T>::reader(std::span<const u8> archive, std::string_view field,
 template <class T>
 reader<T>::reader(byte_source src, u64 container_bytes, reader_options opt,
                   pipeline_config cfg)
-    : impl_(std::make_unique<impl>()) {
+    : impl_(std::make_shared<impl>()) {
   impl_->cfg = std::move(cfg);
   impl_->fetch = std::move(src);
   impl_->total_bytes = container_bytes;
@@ -483,10 +570,20 @@ reader<T> reader<T>::open_field(byte_source src, u64 container_bytes,
 
 template <class T>
 reader<T>::reader(reader&&) noexcept = default;
+
 template <class T>
-reader<T>& reader<T>::operator=(reader&&) noexcept = default;
+reader<T>& reader<T>::operator=(reader&& o) noexcept {
+  if (this != &o) {
+    if (impl_) impl_->close();
+    impl_ = std::move(o.impl_);
+  }
+  return *this;
+}
+
 template <class T>
-reader<T>::~reader() = default;
+reader<T>::~reader() {
+  if (impl_) impl_->close();
+}
 
 template <class T>
 dims3 reader<T>::dims() const {
@@ -512,59 +609,35 @@ std::vector<T> reader<T>::read(u64 elem_offset, u64 elem_count) {
   while (last < im.cv.entries.size() && im.cv.entries[last].raw_offset < hi)
     ++last;
 
-  std::vector<std::shared_ptr<const std::vector<T>>> datas(last - first);
-  {
-    std::unique_lock lk(im.mu);
-    ++im.st.reads;
-    for (std::size_t id = first; id < last; ++id) {
-      im.request_locked(id, /*demand=*/true);
-    }
-    im.issue_prefetch_locked(first, last);
-    im.cv_work.notify_all();
-    std::size_t at = first;
-    try {
-      for (; at < last; ++at) {
-        datas[at - first] = im.wait_locked(lk, at);
-      }
-    } catch (...) {
-      for (std::size_t id = at + 1; id < last; ++id) im.unpin_locked(id);
-      im.sample_counters_locked();
-      throw;
-    }
-    im.sample_counters_locked();
-  }
+  const auto datas = im.demand(
+      first, last, [&] { im.issue_prefetch_locked(first, last); });
 
   // Slice copies run outside the lock: the shared_ptrs keep the decoded
   // chunks alive even if the cache evicts them meanwhile.
-  std::vector<T> out(static_cast<std::size_t>(elem_count));
+  std::vector<T> out;
+  out.reserve(static_cast<std::size_t>(elem_count));
   for (std::size_t id = first; id < last; ++id) {
     const fmt::chunk_dir_entry& e = im.cv.entries[id];
     const u64 a = std::max(lo, e.raw_offset);
     const u64 b = std::min(hi, e.raw_offset + e.raw_len);
-    std::memcpy(out.data() + (a - lo),
-                datas[id - first]->data() + (a - e.raw_offset),
-                static_cast<std::size_t>(b - a) * sizeof(T));
+    const T* chunk = datas[id - first].get();
+    out.insert(out.end(), chunk + (a - e.raw_offset),
+               chunk + (b - e.raw_offset));
   }
   return out;
 }
 
 template <class T>
-std::shared_ptr<const std::vector<T>> reader<T>::fetch_chunk(
-    std::size_t id) {
+std::shared_ptr<const T[]> reader<T>::fetch_chunk(std::size_t id) {
   impl& im = *impl_;
   FZMOD_TRACE_SPAN("reader", "cursor-step");
-  std::unique_lock lk(im.mu);
-  ++im.st.reads;
-  im.request_locked(id, /*demand=*/true);
   // Cursor walks are sequential by construction: prefetch straight ahead.
-  for (unsigned k = 1; k <= im.ways; ++k) {
-    if (id + k >= im.cv.entries.size()) break;
-    im.request_locked(id + k, /*demand=*/false);
-  }
-  im.cv_work.notify_all();
-  auto data = im.wait_locked(lk, id);
-  im.sample_counters_locked();
-  return data;
+  return im.demand(id, id + 1, [&] {
+    for (unsigned k = 1; k <= im.ways; ++k) {
+      if (id + k >= im.cv.entries.size()) break;
+      im.speculate_locked(id + k);
+    }
+  })[0];
 }
 
 template <class T>
@@ -585,7 +658,7 @@ bool reader<T>::chunk_cursor::next(chunk_view& out) {
   const u64 b = std::min(hi_, e.raw_offset + e.raw_len);
   out.index = at_;
   out.offset = a;
-  out.data = std::span<const T>(held_->data() + (a - e.raw_offset),
+  out.data = std::span<const T>(held_.get() + (a - e.raw_offset),
                                 static_cast<std::size_t>(b - a));
   ++at_;
   return true;

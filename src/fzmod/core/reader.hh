@@ -17,12 +17,17 @@
 //     decoder;
 //   - **N-way prefetcher** — each read predicts the next chunks from its
 //     access pattern (sequential or strided at chunk granularity) and
-//     decodes them speculatively on the reader's worker slots
-//     (`reader_options::prefetch` / `FZMOD_READER_PREFETCH`), so a scan
-//     streams at decode throughput without ever blocking on a cold chunk;
-//   - **bounded decode pool** — `jobs` worker threads (the chunk
-//     scheduler's slot shape: one pipeline + one stream + one device
-//     buffer each) serve demand misses ahead of speculation.
+//     decodes them speculatively as device-pool jobs, at most `jobs` at
+//     once (`reader_options::prefetch` / `FZMOD_READER_PREFETCH`), so a
+//     scan streams at decode throughput without ever blocking on a cold
+//     chunk;
+//   - **decodes on the pool, no threads of its own** — a demand miss
+//     decodes on the thread that asked for it, as pool work, so its stream
+//     ops run in place: one `parallel_for` over up to `jobs` slots (the
+//     chunk scheduler's shape: one pipeline + one stream + one device
+//     buffer each, built per call), the caller running one. A read that
+//     finds its chunk queued for speculation but not started decodes it
+//     itself, so no read waits on work queued behind it.
 //
 // Reads are byte-identical to the same slice of a full decompress; plain
 // v1/v2 archives open as one implicit chunk, after their sealed body
@@ -49,7 +54,9 @@ struct reader_options {
   /// Decoded-chunk budget in bytes; 0 takes FZMOD_READER_CACHE_MB (MiB).
   std::size_t cache_bytes = 0;
   int prefetch = -1;   ///< chunks to decode ahead; 0 disables speculation
-  unsigned jobs = 0;   ///< decode worker threads
+  /// Decode concurrency: slots a multi-chunk miss decodes on (the reading
+  /// thread runs one), and prefetch jobs in flight at once.
+  unsigned jobs = 0;
 
   [[nodiscard]] std::size_t resolve_cache_bytes() const;
   [[nodiscard]] unsigned resolve_prefetch() const;
@@ -77,8 +84,10 @@ template <class T>
 class reader {
  public:
   /// Pull `n` container bytes starting at byte `offset` into `dst`.
-  /// Called from reader worker threads, possibly concurrently for
-  /// disjoint ranges — sources must be thread-safe for reads.
+  /// Called on the reading thread for a demand miss and on pool workers
+  /// (prefetch jobs, a multi-chunk miss's other slots), possibly
+  /// concurrently for disjoint ranges — sources must be thread-safe for
+  /// reads. Never called once the reader's destructor has returned.
   using byte_source =
       std::function<void(u8* dst, u64 offset, std::size_t n)>;
 
@@ -116,6 +125,8 @@ class reader {
   reader& operator=(reader&&) noexcept;
   reader(const reader&) = delete;
   reader& operator=(const reader&) = delete;
+  /// Waits only for prefetch decodes already running; queued ones are
+  /// dropped. Safe to run from pool work.
   ~reader();
 
   [[nodiscard]] dims3 dims() const;
@@ -153,7 +164,7 @@ class reader {
     reader* r_;
     u64 lo_, hi_;
     std::size_t at_;  // next chunk id to decode
-    std::shared_ptr<const std::vector<T>> held_;  // keeps the span alive
+    std::shared_ptr<const T[]> held_;  // keeps the span alive
   };
 
   /// Cursor over the chunks covering [elem_offset, elem_offset +
@@ -165,8 +176,10 @@ class reader {
 
  private:
   struct impl;
-  std::shared_ptr<const std::vector<T>> fetch_chunk(std::size_t id);
-  std::unique_ptr<impl> impl_;
+  std::shared_ptr<const T[]> fetch_chunk(std::size_t id);
+  // Shared with queued prefetch jobs, which outlive the reader harmlessly:
+  // the destructor waits only for decodes already running.
+  std::shared_ptr<impl> impl_;
 };
 
 }  // namespace fzmod::core

@@ -3,10 +3,9 @@
 // This reproduction runs on machines without GPUs, so the heterogeneous
 // substrate the paper builds on is simulated: there is a distinct "device"
 // memory space with its own allocator and accounting, asynchronous streams
-// that order work the way CUDA streams do, events for cross-stream
-// synchronization, and a data-parallel kernel launcher that decomposes an
-// index space over the worker pool the way a grid of thread blocks is
-// decomposed over SMs.
+// that order work the way CUDA streams do, and a data-parallel kernel
+// launcher that decomposes an index space over the worker pool the way a
+// grid of thread blocks is decomposed over SMs.
 //
 // The discipline is enforced dynamically: host code must not dereference
 // device buffers (and vice versa); transfers between the spaces are
@@ -29,7 +28,6 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <mutex>
 #include <span>
 
@@ -405,54 +403,6 @@ class stream {
   task_ring ops_;
   std::exception_ptr pending_error_ = nullptr;
   bool running_ = false;
-};
-
-/// One-shot completion marker, semantically a CUDA event: `record` enqueues
-/// the marker onto a stream, `wait` blocks a host thread, and
-/// `stream_wait` makes another stream's subsequent work wait on it.
-class event {
- public:
-  event() : state_(std::make_shared<state>()) {}
-
-  void record(stream& s) {
-    auto st = state_;
-    {
-      std::lock_guard lk(st->mu);
-      st->done = false;
-    }
-    s.enqueue([st] {
-      std::lock_guard lk(st->mu);
-      st->done = true;
-      st->cv.notify_all();
-    });
-  }
-
-  void wait() const {
-    auto st = state_;
-    std::unique_lock lk(st->mu);
-    st->cv.wait(lk, [&] { return st->done; });
-  }
-
-  void stream_wait(stream& s) const {
-    auto st = state_;
-    s.enqueue([st] {
-      std::unique_lock lk(st->mu);
-      st->cv.wait(lk, [&] { return st->done; });
-    });
-  }
-
-  [[nodiscard]] bool query() const {
-    std::lock_guard lk(state_->mu);
-    return state_->done;
-  }
-
- private:
-  struct state {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = true;  // unrecorded events are trivially complete
-  };
-  std::shared_ptr<state> state_;
 };
 
 /// Stream-ordered byte copy between spaces. The copy really moves bytes,

@@ -2,13 +2,13 @@
 //
 // The pool plays the role of the GPU's SM array in this reproduction: kernel
 // launches are decomposed into block-sized chunks and executed by pool
-// workers. Stream drains, STF task bodies and the chunk scheduler's slots
-// (core/chunked.cc) all run as pool work. It stays small — fixed worker
-// count, one shared FIFO, condition-variable wakeup, and a `parallel_for`
-// whose caller runs chunks too — and marks every thread that is running
-// pool work (`in_pool_work()`), so streams can run that work's ops in place
-// instead of blocking a worker on a drain queued behind it
-// (device/runtime.hh).
+// workers. Stream drains, STF task bodies, the chunk scheduler's slots
+// (core/chunked.cc) and the seekable reader's decodes (core/reader.cc) all
+// run as pool work. It stays small — fixed worker count, one shared FIFO,
+// condition-variable wakeup, and a `parallel_for` whose caller runs chunks
+// too — and marks every thread that is running pool work
+// (`in_pool_work()`), so streams can run that work's ops in place instead
+// of blocking a worker on a drain queued behind it (device/runtime.hh).
 //
 // The job queue and completion signalling are allocation-free in steady
 // state: jobs are `unique_task`s (small-buffer optimized, move-only) held
@@ -21,7 +21,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -73,29 +72,10 @@ class thread_pool {
   /// life, a parallel_for caller while it runs chunks.
   [[nodiscard]] static bool in_pool_work() { return in_pool_work_; }
 
-  /// Enqueue a job. The returned future completes when the job finishes;
-  /// exceptions propagate through it. (The promise's shared state is the
-  /// one allocation — submit() is the cold, observable path; the hot paths
-  /// use submit_detached.)
-  template <class F>
-  std::future<void> submit(F&& fn) {
-    std::promise<void> pr;
-    std::future<void> fut = pr.get_future();
-    submit_detached(
-        [pr = std::move(pr), fn = std::forward<F>(fn)]() mutable {
-          try {
-            fn();
-            pr.set_value();
-          } catch (...) {
-            pr.set_exception(std::current_exception());
-          }
-        });
-    return fut;
-  }
-
-  /// Fire-and-forget variant for internal continuations that manage their
-  /// own completion signalling (stream ops, STF tasks). Move-only
-  /// closures are fine; small ones stay inline in the ring.
+  /// Enqueue a fire-and-forget job. Jobs manage their own completion
+  /// signalling (stream drains, STF tasks, reader prefetch) and contain
+  /// their own errors. Move-only closures are fine; small ones stay inline
+  /// in the ring.
   template <class F>
   void submit_detached(F&& fn) {
     {

@@ -1,4 +1,4 @@
-// Unit tests: software device runtime — buffers, streams, events, kernel
+// Unit tests: software device runtime — buffers, streams, kernel
 // launches, transfer accounting.
 #include <gtest/gtest.h>
 
@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <numeric>
 #include <thread>
 
@@ -119,14 +120,26 @@ TEST(Stream, ErrorSkipsOpsEnqueuedAfterItUntilSync) {
   check_error_skips_ops_until_sync();
 }
 
+/// Run `fn` as a pool job and wait for it. The job owns the promise, so
+/// its shared state outlives set_value on the worker, and a job that
+/// throws breaks the promise instead of leaving get() waiting.
+template <class F>
+void run_on_pool_worker(F fn) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  runtime::instance().pool().submit_detached(
+      [&fn, done = std::move(done)]() mutable {
+        fn();
+        done.set_value();
+      });
+  finished.get();
+}
+
 TEST(Stream, ErrorSkipsOpsEnqueuedAfterItUntilSyncInPoolWork) {
-  runtime::instance()
-      .pool()
-      .submit([] {
-        EXPECT_TRUE(thread_pool::in_pool_work());
-        check_error_skips_ops_until_sync();
-      })
-      .get();
+  run_on_pool_worker([] {
+    EXPECT_TRUE(thread_pool::in_pool_work());
+    check_error_skips_ops_until_sync();
+  });
 }
 
 struct enqueue_probe {
@@ -155,7 +168,7 @@ TEST(Stream, PoolWorkRunsOpsInPlace) {
   // Pool work runs an op on an idle stream in place, before enqueue
   // returns.
   enqueue_probe in_task;
-  runtime::instance().pool().submit([&] { in_task = probe_enqueue(); }).get();
+  run_on_pool_worker([&] { in_task = probe_enqueue(); });
   EXPECT_TRUE(in_task.done_at_return);
   EXPECT_TRUE(in_task.same_thread);
   // A parallel_for caller is pool work while it runs chunks, and only then.
@@ -167,28 +180,6 @@ TEST(Stream, PoolWorkRunsOpsInPlace) {
       });
   EXPECT_EQ(in_place.load(), 8);
   EXPECT_FALSE(thread_pool::in_pool_work());
-}
-
-TEST(Event, CrossStreamOrdering) {
-  stream a, b;
-  std::atomic<int> value{0};
-  event ev;
-  a.enqueue([&value] { value = 41; });
-  ev.record(a);
-  ev.stream_wait(b);
-  int seen = -1;
-  b.enqueue([&value, &seen] { seen = value.load(); });
-  b.sync();
-  EXPECT_EQ(seen, 41);
-  a.sync();
-}
-
-TEST(Event, QueryAndHostWait) {
-  stream s;
-  event ev;
-  ev.record(s);
-  ev.wait();
-  EXPECT_TRUE(ev.query());
 }
 
 TEST(Memcpy, MovesBytesAndCountsDirections) {
@@ -266,14 +257,6 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     }
   });
   EXPECT_EQ(total.load(), 800u);
-}
-
-TEST(ThreadPool, SubmitReturnsFutureWithExceptions) {
-  auto& pool = runtime::instance().pool();
-  auto ok = pool.submit([] {});
-  EXPECT_NO_THROW(ok.get());
-  auto bad = pool.submit([] { throw std::runtime_error("nope"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
 }
 
 TEST(Pool, BinRounding) {

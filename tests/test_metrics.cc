@@ -49,7 +49,7 @@ TEST(Compare, LargeInputParallelPathMatchesSerial) {
 
 TEST(Compare, SizeMismatchThrows) {
   std::vector<f32> a(3), b(4);
-  EXPECT_THROW(compare(a, b), error);
+  EXPECT_THROW((void)compare(a, b), error);
 }
 
 TEST(Ratios, CompressionRatioAndBitRate) {

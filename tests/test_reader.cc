@@ -5,15 +5,22 @@
 // corrupted-chunk isolation (sticky errors), forged v3 directories that
 // carry a recomputed digest, the chunk cursor, the exact bytes a streaming
 // byte_source open and read fetch, plain v2 archives (sealed body digest
-// checked before the LZ parser runs), range validation, and concurrent
-// readers (this test runs under TSan in CI, and under ASan+UBSan with the
-// hostile-input suites).
+// checked before the LZ parser runs), range validation, concurrent
+// readers, and where decodes run: a demand miss on the reading thread, a
+// queued prefetch claimed by the read that needs it, reads and reader
+// destruction from pool work while every worker is busy (this test runs
+// under TSan in CI, and under ASan+UBSan with the hostile-input suites).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,6 +30,7 @@
 #include "fzmod/core/chunked.hh"
 #include "fzmod/core/reader.hh"
 #include "fzmod/core/snapshot.hh"
+#include "fzmod/device/runtime.hh"
 
 namespace fzmod::core {
 namespace {
@@ -58,7 +66,7 @@ struct fixture {
   }
 };
 
-/// Small deterministic reader: no prefetch, single worker, roomy cache.
+/// Small deterministic reader: no prefetch, one decode slot, roomy cache.
 reader_options quiet_opts() {
   reader_options o;
   o.cache_bytes = std::size_t{64} << 20;
@@ -66,6 +74,72 @@ reader_options quiet_opts() {
   o.jobs = 1;
   return o;
 }
+
+/// True when `part` equals fx.full[off, off + part.size()).
+bool matches_full(const fixture& fx, u64 off, const std::vector<f32>& part) {
+  return off + part.size() <= fx.full.size() &&
+         std::equal(part.begin(), part.end(), fx.full.begin() + off);
+}
+
+/// Holds `n` pool workers (default: all of them) in jobs that wait for
+/// release(). A watchdog releases them after 20 s, so work that waits on a
+/// held worker fails the test instead of hanging the suite.
+class pool_blocker {
+ public:
+  explicit pool_blocker(
+      unsigned n = device::runtime::instance().pool().size())
+      : st_(std::make_shared<state>()) {
+    st_->n = n;
+    for (unsigned w = 0; w < n; ++w) {
+      device::runtime::instance().pool().submit_detached([st = st_] {
+        std::unique_lock lk(st->mu);
+        ++st->blocked;
+        st->cv.notify_all();
+        st->cv.wait(lk, [&] { return st->released; });
+        ++st->exited;
+        st->cv.notify_all();
+      });
+    }
+    std::unique_lock lk(st_->mu);
+    st_->cv.wait(lk, [&] { return st_->blocked == n; });
+    watchdog_ = std::thread([st = st_] {
+      std::unique_lock wlk(st->mu);
+      if (!st->cv.wait_for(wlk, std::chrono::seconds(20),
+                           [&] { return st->released; })) {
+        st->timed_out = true;
+        st->released = true;
+        st->cv.notify_all();
+      }
+    });
+  }
+  pool_blocker(const pool_blocker&) = delete;
+  pool_blocker& operator=(const pool_blocker&) = delete;
+  ~pool_blocker() { (void)release(); }
+
+  /// Release the workers and wait until every blocking job has returned.
+  /// False when the watchdog had to release them.
+  bool release() {
+    {
+      std::lock_guard lk(st_->mu);
+      st_->released = true;
+      st_->cv.notify_all();
+    }
+    if (watchdog_.joinable()) watchdog_.join();
+    std::unique_lock lk(st_->mu);
+    st_->cv.wait(lk, [&] { return st_->exited == st_->n; });
+    return !st_->timed_out;
+  }
+
+ private:
+  struct state {
+    std::mutex mu;
+    std::condition_variable cv;
+    unsigned n = 0, blocked = 0, exited = 0;
+    bool released = false, timed_out = false;
+  };
+  std::shared_ptr<state> st_;
+  std::thread watchdog_;
+};
 
 TEST(Reader, RandomExtentsMatchFullDecodeSlice) {
   fixture fx;
@@ -477,6 +551,172 @@ TEST(Reader, SnapshotMakeReaderMatchesFullReadSlice) {
   for (u64 i = 0; i < 300; ++i) ASSERT_EQ(part[i], full[700 + i]);
   EXPECT_THROW((void)r.read(700, 0), error);
   EXPECT_THROW((void)snap.make_reader("missing"), error);
+}
+
+TEST(Reader, DemandMissFetchesOnTheReadingThread) {
+  // A demand miss decodes where it was asked for: each single-chunk read
+  // below misses once, and its byte-source call runs on this thread, with
+  // four decode slots available.
+  fixture fx({64, 8, 16}, 1, 61);  // 16 chunks
+  std::mutex mu;
+  std::vector<std::thread::id> callers;
+  reader<f32>::byte_source src = [&](u8* dst, u64 off, std::size_t n) {
+    std::copy_n(fx.arch.data() + off, n, dst);
+    std::lock_guard lk(mu);
+    callers.push_back(std::this_thread::get_id());
+  };
+  reader_options opt = quiet_opts();
+  opt.jobs = 4;
+  reader<f32> r(src, fx.arch.size(), opt);
+  {
+    std::lock_guard lk(mu);
+    callers.clear();  // the open's header and directory fetches
+  }
+  for (const u64 k : {0, 5, 11}) {
+    const u64 off = k * fx.chunk_elems + 40;
+    EXPECT_TRUE(matches_full(fx, off, r.read(off, 64))) << "chunk " << k;
+  }
+  EXPECT_EQ(r.stats().misses, 3u);
+  std::lock_guard lk(mu);
+  ASSERT_EQ(callers.size(), 3u);
+  for (const std::thread::id id : callers) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(Reader, QueuedPrefetchDecodesOnTheReaderWhileWorkersAreHeld) {
+  // The first read queues chunks 1 and 2 for speculation, but every pool
+  // worker is held, so no prefetch job can start. The read that needs
+  // chunk 1 must claim it and decode it itself instead of waiting on work
+  // queued behind the held workers.
+  fixture fx({64, 8, 12}, 1, 43);
+  reader_options opt;
+  opt.cache_bytes = std::size_t{64} << 20;
+  opt.prefetch = 2;
+  opt.jobs = 2;
+  reader<f32> r(fx.arch, opt);
+  pool_blocker held;
+  EXPECT_TRUE(matches_full(fx, 0, r.read(0, fx.chunk_elems)));
+  EXPECT_TRUE(matches_full(fx, fx.chunk_elems + 7,
+                           r.read(fx.chunk_elems + 7, 100)));
+  const reader_stats st = r.stats();
+  EXPECT_TRUE(held.release()) << "a read waited on a held pool worker";
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.prefetch_issued, 2u);
+  EXPECT_EQ(st.prefetch_used, 1u);
+}
+
+TEST(Reader, DestroyWithPrefetchQueuedOrRunningReturns) {
+  fixture fx({64, 8, 12}, 1, 47);
+  reader_options opt;
+  opt.cache_bytes = std::size_t{64} << 20;
+  opt.prefetch = 2;
+  opt.jobs = 2;
+  auto& pool = device::runtime::instance().pool();
+
+  // Queued: a pool job opens a reader, reads chunk 0 and destroys the
+  // reader while the prefetch jobs for chunks 1 and 2 are queued behind it
+  // (every other worker is held). The destructor must not wait for them,
+  // and it releases the byte source before it returns.
+  {
+    auto token = std::make_shared<int>(0);
+    const std::weak_ptr<int> source_alive = token;
+    pool_blocker held(pool.size() - 1);
+    std::promise<bool> done;
+    std::future<bool> finished = done.get_future();
+    pool.submit_detached([&, token = std::move(token),
+                          done = std::move(done)]() mutable {
+      bool ok = false;
+      {
+        reader<f32> r(
+            [&fx, token = std::move(token)](u8* dst, u64 off,
+                                            std::size_t n) {
+              std::copy_n(fx.arch.data() + off, n, dst);
+            },
+            fx.arch.size(), opt);
+        ok = matches_full(fx, 0, r.read(0, fx.chunk_elems));
+      }
+      ok = ok && source_alive.expired();
+      done.set_value(ok);
+    });
+    const bool in_time = finished.wait_for(std::chrono::seconds(20)) ==
+                         std::future_status::ready;
+    EXPECT_TRUE(held.release());
+    EXPECT_TRUE(finished.get()) << "wrong read, or the source outlived it";
+    EXPECT_TRUE(in_time) << "destroying a reader from pool work waited on "
+                            "its queued prefetch";
+  }
+
+  // Running: a prefetch job is inside the byte source for chunk 1 when
+  // the reader is destroyed. The destructor waits for that decode, and
+  // only for it.
+  {
+    const fmt::chunk_dir_entry c1 =
+        fmt::parse_chunk_container(fx.arch).entries[1];
+    const u64 c1_at = sizeof(fmt::chunk_header_v3) + c1.archive_offset;
+    std::mutex mu;
+    std::condition_variable cv;
+    bool in_fetch = false, gate_open = false;
+    auto token = std::make_shared<int>(0);
+    const std::weak_ptr<int> source_alive = token;
+    auto r = std::make_unique<reader<f32>>(
+        [&, token = std::move(token)](u8* dst, u64 off, std::size_t n) {
+          if (off == c1_at) {
+            std::unique_lock lk(mu);
+            in_fetch = true;
+            cv.notify_all();
+            cv.wait(lk, [&] { return gate_open; });
+          }
+          std::copy_n(fx.arch.data() + off, n, dst);
+        },
+        fx.arch.size(), opt);
+    EXPECT_TRUE(matches_full(fx, 0, r->read(0, fx.chunk_elems)));
+    {
+      std::unique_lock lk(mu);
+      ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(20),
+                              [&] { return in_fetch; }));
+    }
+    std::atomic<bool> destroyed{false};
+    std::thread closer([&] {
+      r.reset();
+      destroyed = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(destroyed.load()) << "returned during a running decode";
+    {
+      std::lock_guard lk(mu);
+      gate_open = true;
+      cv.notify_all();
+    }
+    closer.join();
+    EXPECT_TRUE(source_alive.expired());
+  }
+}
+
+TEST(Reader, ReadFromPoolWorkWithEveryWorkerHeldCompletes) {
+  // Reads issued from parallel_for bodies while every pool worker is held:
+  // each covers four chunks, so its own slots' helpers queue behind the
+  // held workers and the body decodes every chunk it claimed itself.
+  fixture fx({64, 8, 12}, 1, 59);
+  reader_options opt;
+  opt.cache_bytes = std::size_t{64} << 20;
+  opt.prefetch = 2;
+  opt.jobs = 3;
+  reader<f32> r(fx.arch, opt);
+  const u64 offs[2] = {fx.chunk_elems / 2, 6 * fx.chunk_elems + 9};
+  std::vector<f32> got[2];
+  {
+    pool_blocker held;
+    device::runtime::instance().pool().parallel_for(
+        2, 1, [&](std::size_t lo, std::size_t) {
+          got[lo] = r.read(offs[lo], 3 * fx.chunk_elems);
+        });
+    EXPECT_TRUE(held.release()) << "a read waited on a held pool worker";
+  }
+  for (int k = 0; k < 2; ++k) {
+    ASSERT_EQ(got[k].size(), 3 * fx.chunk_elems);
+    EXPECT_TRUE(matches_full(fx, offs[k], got[k])) << "read " << k;
+  }
 }
 
 TEST(ReaderOptions, EnvResolutionAndOverrides) {
